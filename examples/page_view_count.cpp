@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "apps/engine.hpp"
-#include "baselines/cpu_hash_table.hpp"
+#include "baselines/chained_hash_table.hpp"
 #include "common/parse.hpp"
 #include "common/strings.hpp"
 
@@ -56,25 +56,12 @@ int main(int argc, char** argv) {
   // Top pages, read from the CPU baseline table (any of the two would do —
   // we just validated they agree).
   gpusim::RunStats stats;
-  baselines::CpuHashTableConfig tcfg;
-  tcfg.combiner = core::combine_sum_u64;
-  baselines::CpuHashTable table(stats, tcfg);
-  {
-    const RecordIndex idx = index_lines(input);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      // Reuse the app's parser through a tiny emitter.
-      struct E final : mapreduce::Emitter {
-        baselines::CpuHashTable* t;
-        core::Status emit(std::string_view k,
-                          std::span<const std::byte> v) override {
-          t->insert(0, k, v);
-          return core::Status::kSuccess;
-        }
-      } em;
-      em.t = &table;
-      app.standalone->map_record(idx.record(input.data(), i), em);
-    }
-  }
+  baselines::ChainedHashTable<baselines::HostArena> table(
+      stats, {.combiner = core::combine_sum_u64});
+  baselines::TableEmitter em(table);  // reuses the app's parser
+  const RecordIndex idx = index_lines(input);
+  for (std::size_t i = 0; i < idx.size(); ++i)
+    app.standalone->map_record(idx.record(input.data(), i), em);
   std::vector<std::pair<std::uint64_t, std::string>> top;
   table.for_each([&](std::string_view k, std::span<const std::byte> v) {
     std::uint64_t count = 0;

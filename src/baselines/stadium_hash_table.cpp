@@ -1,6 +1,5 @@
 #include "baselines/stadium_hash_table.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "common/hashing.hpp"
@@ -8,32 +7,16 @@
 namespace sepo::baselines {
 
 StadiumHashTable::StadiumHashTable(gpusim::ExecContext& ctx, StadiumConfig cfg)
-    : dev_(ctx.device()), stats_(ctx.stats()), cfg_(cfg) {
+    : dev_(ctx.device()), stats_(ctx.stats()), region_(ctx), cfg_(cfg) {
   if (cfg_.num_buckets == 0 || (cfg_.num_buckets & (cfg_.num_buckets - 1)))
     throw std::invalid_argument("num_buckets must be a power of two");
   bucket_mask_ = cfg_.num_buckets - 1;
-  // Device-resident heads + locks footprint.
-  dev_.alloc_static(static_cast<std::size_t>(cfg_.num_buckets) * 12);
+  region_.place_bucket_array(cfg_.num_buckets);
   index_heads_ = std::vector<std::atomic<gpusim::DevPtr>>(cfg_.num_buckets);
   for (auto& h : index_heads_) h.store(gpusim::kDevNull);
-  entry_heads_ = std::vector<std::atomic<HostEntry*>>(cfg_.num_buckets);
+  entry_heads_ = std::vector<std::atomic<HostKvEntry*>>(cfg_.num_buckets);
   for (auto& h : entry_heads_) h.store(nullptr);
   locks_ = std::vector<gpusim::PaddedBucketLock>(cfg_.num_buckets);
-}
-
-void* StadiumHashTable::host_alloc(std::size_t bytes) {
-  bytes = (bytes + 7u) & ~std::size_t{7};
-  stats_.add_alloc_ops();
-  gpusim::DeviceLockGuard guard(host_lock_, stats_);
-  if (host_chunks_.empty() ||
-      used_in_chunk_ + bytes > cfg_.host_chunk_bytes) {
-    host_chunks_.push_back(
-        std::make_unique<std::byte[]>(cfg_.host_chunk_bytes));
-    used_in_chunk_ = 0;
-  }
-  void* p = host_chunks_.back().get() + used_in_chunk_;
-  used_in_chunk_ += bytes;
-  return p;
 }
 
 gpusim::DevPtr StadiumHashTable::new_block() {
@@ -56,16 +39,9 @@ void StadiumHashTable::insert(std::string_view key,
 
   // Materialize the entry in pinned CPU memory: this is the single remote
   // access of a Stadium insert.
-  const auto key_len = static_cast<std::uint32_t>(key.size());
-  const auto val_len = static_cast<std::uint32_t>(value.size());
-  const std::size_t sz =
-      sizeof(HostEntry) + core::pad8(key_len) + core::pad8(val_len);
-  auto* e = static_cast<HostEntry*>(host_alloc(sz));
-  e->key_len = key_len;
-  e->val_len = val_len;
-  std::memcpy(e->key_data(), key.data(), key_len);
-  if (val_len) std::memcpy(e->value_data(), value.data(), val_len);
-  dev_.bus().remote(sz);
+  const std::size_t sz = HostKvEntry::byte_size(key.size(), value.size());
+  HostKvEntry* e = HostKvEntry::emplace(region_.alloc(0, sz), key, value);
+  region_.remote(sz);
 
   gpusim::DeviceLockGuard guard(locks_[b].lock, stats_);
   ++locks_[b].accesses;
@@ -102,7 +78,7 @@ std::vector<std::span<const std::byte>> StadiumHashTable::lookup_all(
 
   // Walk the device index and the host chain in lockstep: fingerprints are
   // stored newest-first in blocks, matching the entry list order.
-  const HostEntry* e = entry_heads_[b].load(std::memory_order_acquire);
+  const HostKvEntry* e = entry_heads_[b].load(std::memory_order_acquire);
   for (gpusim::DevPtr p = index_heads_[b].load(std::memory_order_acquire);
        p != gpusim::kDevNull;) {
     const auto* blk = dev_.ptr<FpBlock>(p);
@@ -110,12 +86,12 @@ std::vector<std::span<const std::byte>> StadiumHashTable::lookup_all(
       stats_.add_chain_links();  // device-resident token scan
       if (blk->fp[i] == fp) {
         // Fingerprint hit: confirm against the remote entry.
-        dev_.bus().remote(sizeof(HostEntry) + e->key_len);
+        region_.remote(sizeof(HostKvEntry) + e->key_len);
         stats_.add_key_compare_bytes(
             std::min<std::size_t>(e->key_len, key.size()));
         if (e->key() == key) {
-          dev_.bus().remote(e->val_len);
-          out.emplace_back(e->value_data(), e->val_len);
+          region_.remote(e->val_len);
+          out.push_back(e->value());
         }
       }
       e = e->next;
@@ -131,18 +107,7 @@ void StadiumHashTable::for_each(
   for (const auto& head : entry_heads_)
     for (const auto* e = head.load(std::memory_order_acquire); e != nullptr;
          e = e->next)
-      fn(e->key(), std::span{e->value_data(), e->val_len});
-}
-
-StadiumHashTable::BucketLoad StadiumHashTable::bucket_load() const noexcept {
-  BucketLoad load;
-  for (const gpusim::PaddedBucketLock& pb : locks_) {
-    const std::uint32_t c = pb.accesses;
-    load.total_accesses += c;
-    load.max_bucket_accesses =
-        std::max<std::uint64_t>(load.max_bucket_accesses, c);
-  }
-  return load;
+      fn(e->key(), e->value());
 }
 
 }  // namespace sepo::baselines

@@ -24,13 +24,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "core/entry_layout.hpp"
+#include "baselines/chained_hash_table.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
@@ -40,13 +39,13 @@ namespace sepo::baselines {
 
 struct StadiumConfig {
   std::uint32_t num_buckets = 1u << 15;  // power of two
-  std::size_t host_chunk_bytes = 1u << 20;
 };
 
 class StadiumHashTable {
  public:
   // The fingerprint index grows in device memory (2 bytes per stored pair,
-  // chained in small device-resident blocks); entries live in host memory.
+  // chained in small device-resident blocks); entries live in the same
+  // pinned region, with the same entry layout, as the §VI-D pinned table's.
   explicit StadiumHashTable(gpusim::ExecContext& ctx, StadiumConfig cfg = {});
 
   // Device-side insert: consults/extends the device index, then performs
@@ -77,11 +76,9 @@ class StadiumHashTable {
     return index_blocks_used_.load(std::memory_order_relaxed) * kBlockBytes;
   }
 
-  struct BucketLoad {
-    std::uint64_t total_accesses = 0;
-    std::uint64_t max_bucket_accesses = 0;
-  };
-  [[nodiscard]] BucketLoad bucket_load() const noexcept;
+  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
+    return gpusim::bucket_load(locks_);
+  }
 
  private:
   // Device-resident fingerprint block: 14 tokens + a chain link, 32 bytes.
@@ -95,49 +92,25 @@ class StadiumHashTable {
   };
   static_assert(sizeof(FpBlock) <= kBlockBytes);
 
-  struct HostEntry {
-    HostEntry* next;
-    std::uint32_t key_len, val_len;
-    [[nodiscard]] const char* key_data() const noexcept {
-      return reinterpret_cast<const char*>(this + 1);
-    }
-    [[nodiscard]] char* key_data() noexcept {
-      return reinterpret_cast<char*>(this + 1);
-    }
-    [[nodiscard]] std::string_view key() const noexcept {
-      return {key_data(), key_len};
-    }
-    [[nodiscard]] const std::byte* value_data() const noexcept {
-      return reinterpret_cast<const std::byte*>(this + 1) +
-             core::pad8(key_len);
-    }
-    [[nodiscard]] std::byte* value_data() noexcept {
-      return reinterpret_cast<std::byte*>(this + 1) + core::pad8(key_len);
-    }
-  };
-
   [[nodiscard]] static std::uint16_t fingerprint(std::uint64_t hash) noexcept {
     return static_cast<std::uint16_t>(hash >> 32) | 1u;  // never 0
   }
 
-  void* host_alloc(std::size_t bytes);
   gpusim::DevPtr new_block();
 
   gpusim::Device& dev_;
   gpusim::RunStats& stats_;
+  PinnedRegion region_;  // entry memory, metered on the bus
   StadiumConfig cfg_;
   std::uint32_t bucket_mask_;
 
   // Device-resident per-bucket index heads + host-resident entry heads.
   std::vector<std::atomic<gpusim::DevPtr>> index_heads_;
-  std::vector<std::atomic<HostEntry*>> entry_heads_;  // pinned CPU memory
+  std::vector<std::atomic<HostKvEntry*>> entry_heads_;  // pinned CPU memory
   // Lock + access tally per bucket on private cache lines
   // (gpusim::PaddedBucketLock); accesses incremented under the bucket lock.
   std::vector<gpusim::PaddedBucketLock> locks_;
 
-  gpusim::DeviceLock host_lock_;
-  std::vector<std::unique_ptr<std::byte[]>> host_chunks_;
-  std::size_t used_in_chunk_ = 0;
   std::atomic<std::size_t> entry_count_{0};
   std::atomic<std::size_t> index_blocks_used_{0};
 };

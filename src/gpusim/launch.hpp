@@ -7,9 +7,10 @@
 // (RunStats) rather than slowing the host down; the CostModel prices them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <thread>
 
 #include "gpusim/counters.hpp"
@@ -55,16 +56,10 @@ void run_grid(ThreadPool& pool, RunStats& stats, std::size_t n_items,
 // distributed over grid threads in a grid-stride loop, like the canonical
 // CUDA pattern; grid threads are in turn multiplexed onto the pool.
 //
-// std::function overload: ABI-stable entry point for call sites holding
-// type-erased kernels (defined in launch.cpp).
-void launch(ThreadPool& pool, RunStats& stats, std::size_t n_items,
-            const std::function<void(std::size_t)>& kernel,
-            LaunchConfig cfg = {});
-
-// Devirtualized overload: instantiated per concrete kernel type so the
-// per-item call inlines all the way into ThreadPool's batch loop. Overload
-// resolution picks this for lambdas/functors and keeps the std::function
-// overload above for std::function lvalues.
+// Instantiated per concrete kernel type so the per-item call inlines all the
+// way into ThreadPool's batch loop. A caller holding a type-erased
+// std::function passes it by const reference and pays one indirect call per
+// item.
 template <typename Kernel>
 void launch(ThreadPool& pool, RunStats& stats, std::size_t n_items,
             Kernel&& kernel, LaunchConfig cfg = {}) {
@@ -146,5 +141,25 @@ struct alignas(kCacheLineBytes) PaddedBucketLock {
   DeviceLock lock;
   std::uint32_t accesses = 0;  // bumped under `lock`, read when quiescent
 };
+
+// Per-bucket access totals, used by the cost model's lock-serialization
+// term (DESIGN.md §5): on a GPU, thousands of concurrent threads hitting
+// one hot bucket serialize on its lock (the paper's Word Count §VI-B).
+struct BucketLoad {
+  std::uint64_t total_accesses = 0;
+  std::uint64_t max_bucket_accesses = 0;
+};
+
+// Tallies a quiescent table's per-bucket access counts.
+[[nodiscard]] inline BucketLoad bucket_load(
+    std::span<const PaddedBucketLock> locks) noexcept {
+  BucketLoad load;
+  for (const PaddedBucketLock& pb : locks) {
+    load.total_accesses += pb.accesses;
+    load.max_bucket_accesses =
+        std::max<std::uint64_t>(load.max_bucket_accesses, pb.accesses);
+  }
+  return load;
+}
 
 }  // namespace sepo::gpusim

@@ -10,7 +10,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -38,17 +37,14 @@ class ThreadPool {
   // Items are claimed dynamically in small batches so skewed per-item costs
   // balance across workers. The calling thread participates.
   //
-  // std::function overload: ABI-stable entry point for call sites that
-  // already hold type-erased callables (defined in thread_pool.cpp).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  // Devirtualized overload: instantiated per concrete callable, so the
-  // per-item call inlines into the batch loop instead of going through
-  // std::function dispatch. Overload resolution picks this for lambdas and
-  // functors; std::function lvalues/rvalues keep the overload above.
+  // Instantiated per concrete callable, so the per-item call inlines into
+  // the batch loop. A caller holding a type-erased std::function passes it
+  // by const reference and pays one indirect call per item.
   template <typename Body>
   void parallel_for(std::size_t n, Body&& body) {
     if (n == 0) return;
+    // Batch so that each worker sees on the order of 16 batches — small
+    // enough for balance, large enough to amortize the atomic claim.
     run_job(n, std::max<std::size_t>(1, n / (worker_count() * 16)),
             &invoke_batch<std::remove_reference_t<Body>>, body_ptr(body));
   }
@@ -56,9 +52,6 @@ class ThreadPool {
   // Runs `body(t)` once per participant t in [0, parties); each call runs on
   // its own thread (calling thread is participant 0). Used for persistent
   // per-thread work such as the CPU-baseline insert loops.
-  void run_parties(std::size_t parties,
-                   const std::function<void(std::size_t)>& body);
-
   template <typename Body>
   void run_parties(std::size_t parties, Body&& body) {
     if (parties == 0) return;

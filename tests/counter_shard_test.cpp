@@ -109,8 +109,8 @@ TEST(CounterShardTest, FixtureStableAcrossWorkerCounts) {
 }
 
 TEST(CounterShardTest, StdFunctionOverloadMetersIdentically) {
-  // The ABI-stable std::function overload must keep producing the same
-  // totals as the devirtualized template path.
+  // A kernel held as a std::function (the template with
+  // Kernel = const std::function&) must meter exactly like a lambda.
   ThreadPool pool(4);
   RunStats stats;
   const std::function<void(std::size_t)> kernel = [&stats](std::size_t i) {

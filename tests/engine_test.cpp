@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace sepo::apps {
 namespace {
@@ -140,6 +144,106 @@ TEST(EngineCrossValidationTest, CapacitySweepAgreesOrDeclinesTyped) {
             << app->key << "/" << e->name() << " frac=" << frac;
       }
     }
+  }
+}
+
+// Counter identity of the host-memory baselines: cpu and phoenix (chained
+// table in host arenas), pinned (the same table in the pinned region) and
+// stadium (its entry store in the pinned region). At one pool worker and one
+// party every counter is a pure function of the input. The constants were
+// recorded from the separate CPU and pinned table implementations this table
+// replaced, so a mismatch means the simulated cost of a baseline changed.
+// lock_contended and atomic_retries depend on thread scheduling and are left
+// out (both are 0 at one worker).
+struct BaselineFixture {
+  const char* app;
+  const char* engine;
+  std::uint64_t checksum, keys, table_bytes, remote_txns, remote_bytes;
+  std::uint64_t lock_ops, max_bucket_ops;  // the serialization inputs
+  std::vector<std::pair<std::string, std::uint64_t>> stats;  // nonzero only
+};
+
+std::vector<std::pair<std::string, std::uint64_t>> nonzero_counters(
+    const gpusim::StatsSnapshot& s) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  s.for_each_field([&](std::string_view name, std::uint64_t v) {
+    if (v != 0 && name != "lock_contended" && name != "atomic_retries")
+      out.emplace_back(name, v);
+  });
+  return out;
+}
+
+TEST(BaselineCounterIdentityTest, MatchesRecordedCounters) {
+  const BaselineFixture fixtures[] = {
+    {"pvc", "cpu", 0x580f978b5f0dbe62ull, 815u, 62600u, 0u, 0u,
+     848u, 11u,
+     {{"records_processed", 848u}, {"work_units", 97470u}, {"hash_ops", 848u},
+      {"key_compare_bytes", 58997u}, {"chain_links_walked", 1395u},
+      {"inserts_new", 815u}, {"combines", 33u}, {"alloc_ops", 815u},
+      {"lock_acquires", 848u}}},
+    {"pvc", "pinned", 0x580f978b5f0dbe62ull, 815u, 0u, 2243u, 152910u,
+     848u, 11u,
+     {{"records_processed", 848u}, {"records_scanned", 848u},
+      {"work_units", 97470u}, {"hash_ops", 848u},
+      {"key_compare_bytes", 58997u}, {"chain_links_walked", 1395u},
+      {"inserts_new", 815u}, {"combines", 33u}, {"alloc_ops", 815u},
+      {"lock_acquires", 1663u}, {"kernel_launches", 1u}}},
+    {"pvc", "stadium", 0x580f978b5f0dbe62ull, 815u, 0u, 848u, 65064u,
+     848u, 11u,
+     {{"records_processed", 848u}, {"work_units", 97470u}, {"hash_ops", 848u},
+      {"inserts_new", 848u}, {"alloc_ops", 848u}, {"lock_acquires", 1696u}}},
+    {"ii", "cpu", 0x5a0bf3983bc4b867ull, 858u, 114728u, 0u, 0u,
+     1041u, 21u,
+     {{"records_processed", 169u}, {"work_units", 98561u}, {"hash_ops", 1041u},
+      {"key_compare_bytes", 77601u}, {"chain_links_walked", 1840u},
+      {"inserts_new", 858u}, {"value_appends", 1041u}, {"alloc_ops", 1899u},
+      {"lock_acquires", 1041u}}},
+    {"ii", "pinned", 0x5a0bf3983bc4b867ull, 858u, 0u, 3739u, 255943u,
+     1041u, 21u,
+     {{"records_processed", 169u}, {"records_scanned", 169u},
+      {"work_units", 98561u}, {"hash_ops", 1041u},
+      {"key_compare_bytes", 77601u}, {"chain_links_walked", 1840u},
+      {"inserts_new", 858u}, {"value_appends", 1041u}, {"alloc_ops", 1899u},
+      {"lock_acquires", 2940u}, {"divergent_units", 98561u},
+      {"kernel_launches", 1u}}},
+    {"ii", "stadium", 0x5a0bf3983bc4b867ull, 858u, 0u, 1041u, 103160u,
+     1041u, 21u,
+     {{"records_processed", 169u}, {"work_units", 98561u}, {"hash_ops", 1041u},
+      {"inserts_new", 1041u}, {"alloc_ops", 1041u}, {"lock_acquires", 2082u}}},
+    {"wc", "phoenix", 0x9f10463a4dc69914ull, 2286u, 80584u, 0u, 0u,
+     0u, 0u,
+     {{"records_processed", 1097u}, {"work_units", 97300u},
+      {"hash_ops", 13806u}, {"key_compare_bytes", 147513u},
+      {"chain_links_walked", 22549u}, {"inserts_new", 4572u},
+      {"combines", 9234u}, {"alloc_ops", 4572u}, {"lock_acquires", 13806u}}},
+    {"pc", "phoenix", 0x6763428c6d4ad0e9ull, 6668u, 387544u, 0u, 0u,
+     0u, 0u,
+     {{"records_processed", 7257u}, {"work_units", 91058u},
+      {"hash_ops", 14514u}, {"key_compare_bytes", 497114u},
+      {"chain_links_walked", 93598u}, {"inserts_new", 13336u},
+      {"value_appends", 14514u}, {"alloc_ops", 27850u},
+      {"lock_acquires", 14514u}}},
+  };
+  for (const BaselineFixture& f : fixtures) {
+    SCOPED_TRACE(std::string(f.app) + "/" + f.engine);
+    const AppInfo& app = *find_app(f.app);
+    const std::string input = app.generate(96u << 10, /*seed=*/42);
+    EngineConfig cfg;
+    cfg.gpu.pool_workers = 1;
+    cfg.gpu.num_buckets = 1u << 8;  // long chains: probes dominate
+    cfg.cpu.pool_workers = 1;
+    cfg.cpu.num_threads = 1;
+    cfg.cpu.num_buckets = 1u << 8;
+    const RunResult r = find_engine(f.engine)->run(app, input, cfg);
+    ASSERT_FALSE(r.error) << r.error.message;
+    EXPECT_EQ(r.checksum, f.checksum);
+    EXPECT_EQ(r.keys, f.keys);
+    EXPECT_EQ(r.table_bytes, f.table_bytes);
+    EXPECT_EQ(r.pcie.remote_txns, f.remote_txns);
+    EXPECT_EQ(r.pcie.remote_bytes, f.remote_bytes);
+    EXPECT_EQ(r.serial.total_lock_ops, f.lock_ops);
+    EXPECT_EQ(r.serial.max_same_lock_ops, f.max_bucket_ops);
+    EXPECT_EQ(nonzero_counters(r.stats), f.stats);
   }
 }
 

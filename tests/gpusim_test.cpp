@@ -55,8 +55,8 @@ TEST(ThreadPoolTest, RunPartiesGivesDistinctIds) {
 }
 
 TEST(ThreadPoolTest, StdFunctionOverloadStillWorks) {
-  // The type-erased overloads are the ABI-stable entry points; make sure
-  // overload resolution actually reaches them and they behave identically.
+  // A caller holding a type-erased std::function binds to the templates
+  // with Body = const std::function&; it must behave identically.
   ThreadPool pool(3);
   std::atomic<std::size_t> sum{0};
   const std::function<void(std::size_t)> body = [&](std::size_t i) {

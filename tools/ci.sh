@@ -36,7 +36,7 @@ for wf in $workflows; do
   # against BENCH_host.json (sepo_cli bench-diff exits 3 on any bench
   # regressing past the threshold). Only meaningful on an optimized build
   # and a reasonably quiet machine, hence ci-release only; skip with
-  # BENCH_GATE=0.
+  # BENCH_GATE=0 (which also skips the perfbench selftest below).
   if [ "$wf" = "ci-release" ] && [ "${BENCH_GATE:-1}" != "0" ]; then
     echo "== bench gate: host_perf vs committed BENCH_host.json =="
     ./build-release/bench/host_perf --workers 8 --reps 2 \
@@ -45,6 +45,11 @@ for wf in $workflows; do
         build-release/BENCH_host_ci.json
     ./build-release/tools/sepo_cli bench-diff BENCH_host.json \
         build-release/BENCH_host_ci.json
+    # The repository benchmark (perfbench/): builds against src/ and runs
+    # every workload at toy size, so a change that breaks its build or drops
+    # a BENCHMARK.json metric fails here.
+    echo "== bench gate: perfbench selftest =="
+    python3 perfbench/run.py selftest
   fi
 done
 

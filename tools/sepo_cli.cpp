@@ -21,9 +21,8 @@
 // Exit status: 0 on success, 1 on usage error, 2 on run failure (e.g. MapCG
 // out of device memory, fault-retry exhaustion), duplicate/unknown
 // --fault-* flags, fuzz failures found, or invalid/unreadable/incomparable
-// metrics files (metrics-diff exits 2 when the two files' schema versions
-// differ beyond the adjacent v3/v4 pair, which stays comparable on shared
-// fields with a warning); metrics-diff additionally exits 3 when
+// metrics files (report and metrics-diff accept only the current schema
+// version); metrics-diff additionally exits 3 when
 // sim_seconds regressed beyond the threshold; `fuzz --repro` exits 4 when
 // the replayed verdict differs from the recorded one.
 #include <algorithm>
@@ -137,9 +136,9 @@ void usage() {
                "  metrics-check FILE         validate a metrics JSON file\n"
                "  metrics-diff OLD NEW       compare two metrics files; exits 3 when\n"
                "                             sim_seconds regressed > --max-regress-pct\n"
-               "  report FILE                render a run report from a metrics file\n"
-               "                             (schema v3 or v4): per-iteration table,\n"
-               "                             occupancy high-water marks, fault summary\n"
+               "  report FILE                render a run report from a metrics file:\n"
+               "                             per-iteration table, occupancy\n"
+               "                             high-water marks, fault summary\n"
                "                             [--journal J.jsonl] [--last N]\n"
                "  bench-check FILE           validate a BENCH_host.json wall-clock file\n"
                "  bench-diff OLD NEW         compare two BENCH_host.json files; exits 3\n"
@@ -686,27 +685,15 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
   if (!older || !newer) return 2;
 
   // Files written under different schemas are incomparable (exit 2), which
-  // is distinct from "comparable but regressed" (exit 3). Exception:
-  // v3..v5 differ only by additive objects (v4 adds "timeseries", v5 adds
-  // "combine_buffer"), so an older baseline stays diffable against a newer
-  // file — compare the shared fields and warn.
+  // is distinct from "comparable but regressed" (exit 3).
   const std::int64_t old_v = (*older)["schema_version"].as_i64();
   const std::int64_t new_v = (*newer)["schema_version"].as_i64();
   if (old_v != new_v) {
-    const auto adjacent = [](std::int64_t v) { return v >= 3 && v <= 5; };
-    if (!adjacent(old_v) || !adjacent(new_v)) {
-      std::fprintf(stderr,
-                   "schema mismatch: %s is v%lld, %s is v%lld — not comparable\n",
-                   old_path.c_str(), static_cast<long long>(old_v),
-                   new_path.c_str(), static_cast<long long>(new_v));
-      return 2;
-    }
     std::fprintf(stderr,
-                 "warning: schema v%lld vs v%lld — comparing shared fields "
-                 "(newer versions only add the \"timeseries\" / "
-                 "\"combine_buffer\" objects)\n",
-                 static_cast<long long>(old_v),
-                 static_cast<long long>(new_v));
+                 "schema mismatch: %s is v%lld, %s is v%lld — not comparable\n",
+                 old_path.c_str(), static_cast<long long>(old_v),
+                 new_path.c_str(), static_cast<long long>(new_v));
+    return 2;
   }
 
   // Baseline run objects by (app, impl); first occurrence wins.
@@ -931,8 +918,8 @@ void report_iterations(const obs::Json& r) {
   table.print(std::cout);
 }
 
-// Occupancy high-water marks from the v4 time-series (skipped on v3 files
-// and on runs without samples).
+// Occupancy high-water marks from the time-series (skipped on runs without
+// samples).
 void report_occupancy(const obs::Json& r) {
   const obs::Json& series = r["timeseries"];
   if (!series.is_array() || series.size() == 0) return;
@@ -998,16 +985,15 @@ void report_hot_buckets(const obs::Json& r) {
     std::printf("  hottest buckets: %s\n", line.c_str());
 }
 
-// Renders a human-readable post-mortem from a metrics file (schema v3 or
-// v4; v3 predates the occupancy time-series, so that section is absent)
-// plus, optionally, a JSONL journal dump written via --journal-out.
+// Renders a human-readable post-mortem from a metrics file of the current
+// schema plus, optionally, a JSONL journal dump written via --journal-out.
 int cmd_report(const std::string& metrics_path,
                const std::string& journal_path, std::size_t last_n) {
   const auto m = load_metrics(metrics_path);
   if (!m) return 2;
   const std::int64_t v = (*m)["schema_version"].as_i64();
-  if (v != obs::kMetricsSchemaVersion && v != 3) {
-    std::fprintf(stderr, "%s: schema v%lld not supported (want v3 or v%d)\n",
+  if (v != obs::kMetricsSchemaVersion) {
+    std::fprintf(stderr, "%s: schema v%lld not supported (want v%d)\n",
                  metrics_path.c_str(), static_cast<long long>(v),
                  obs::kMetricsSchemaVersion);
     return 2;
@@ -1020,8 +1006,6 @@ int cmd_report(const std::string& metrics_path,
   std::printf("report: %s (schema v%lld, tool %s, %zu run(s))\n",
               metrics_path.c_str(), static_cast<long long>(v),
               (*m)["tool"].as_string().c_str(), runs.size());
-  if (v == 3)
-    std::printf("note: v3 file — no occupancy time-series (added in v4)\n");
 
   for (const auto& r : runs.elements()) {
     const obs::Json* err = r.find("error");
