@@ -65,7 +65,12 @@ Allocation BucketGroupAllocator::alloc(std::uint32_t group, PageClass cls,
 }
 
 void BucketGroupAllocator::mark_postponed(std::uint32_t group) noexcept {
-  if (group_postponed_[group].exchange(1, std::memory_order_relaxed) == 0)
+  // Most failed allocs hit a group already marked this interval: a plain
+  // load keeps them off the locked RMW, and the exchange still elects one
+  // winner among racing first markers.
+  std::atomic<std::uint8_t>& flag = group_postponed_[group];
+  if (flag.load(std::memory_order_relaxed) == 0 &&
+      flag.exchange(1, std::memory_order_relaxed) == 0)
     postponed_groups_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -8,6 +8,7 @@
 
 #include "baselines/paging_sim.hpp"
 #include "baselines/stadium_hash_table.hpp"
+#include "gpusim/launch.hpp"
 #include "gpusim/pcie.hpp"
 
 namespace sepo::apps {
@@ -217,12 +218,15 @@ class StadiumEngine final : public Engine {
       table.emplace(sim.ctx,
                     baselines::StadiumConfig{.num_buckets = cfg.gpu.num_buckets});
       StadiumEmitter em(*table);
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        const std::string_view body = idx.record(input.data(), i);
-        sim.stats.add_work_units(body.size());
-        app.standalone->map_record(body, em);
-        sim.stats.add_records_processed();
-      }
+      // Serial, so metered through a one-worker shard scope.
+      gpusim::run_serial(sim.stats, [&] {
+        for (std::size_t i = 0; i < idx.size(); ++i) {
+          const std::string_view body = idx.record(input.data(), i);
+          sim.stats.add_work_units(body.size());
+          app.standalone->map_record(body, em);
+          sim.stats.add_records_processed();
+        }
+      });
     } catch (const std::bad_alloc& e) {
       // The fingerprint index outgrew the device: Stadium has no SEPO, so
       // the run fails structurally rather than returning a partial table.

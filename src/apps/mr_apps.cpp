@@ -120,7 +120,8 @@ RunResult run_mr_sepo(const MrApp& app, std::string_view input,
   rcfg.table.buckets_per_group = cfg.buckets_per_group;
   rcfg.table.page_size = cfg.page_size;
   rcfg.table.batch_insert_capacity = cfg.batch_insert;
-  choose_chunking(index_lines(input), cfg, rcfg.pipeline);
+  const RecordIndex index = index_lines(input);
+  choose_chunking(index, cfg, rcfg.pipeline);
 
   // Constructed inside the try: the runtime's table can already exceed the
   // device (typed DeviceOutOfMemory), and like any other structural failure
@@ -140,7 +141,7 @@ RunResult run_mr_sepo(const MrApp& app, std::string_view input,
   mapreduce::RunOutcome out;
   try {
     runtime.emplace(ctx, rcfg);
-    out = runtime->run(input, app.spec());
+    out = runtime->run(input, app.spec(), index);
   } catch (const gpusim::FaultError& e) {
     return fail(e);
   } catch (const std::bad_alloc& e) {

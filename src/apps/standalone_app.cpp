@@ -13,6 +13,7 @@
 #include "common/timer.hpp"
 #include "core/sepo_driver.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/launch.hpp"
 #include "mapreduce/sepo_emitter.hpp"
 
 namespace sepo::apps {
@@ -162,7 +163,7 @@ RunResult StandaloneApp::run_cpu(std::string_view input,
 
   const RecordIndex index = index_lines(input);
   const std::size_t n = index.size();
-  pool.run_parties(cfg.num_threads, [&](std::size_t party) {
+  gpusim::run_parties(pool, stats, cfg.num_threads, [&](std::size_t party) {
     const std::size_t lo = n * party / cfg.num_threads;
     const std::size_t hi = n * (party + 1) / cfg.num_threads;
     baselines::TableEmitter em(table, static_cast<std::uint32_t>(party));

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/strings.hpp"
+#include "gpusim/launch.hpp"
 
 namespace sepo::baselines {
 
@@ -34,7 +35,7 @@ std::unique_ptr<ChainedHashTable<HostArena>> PhoenixRuntime::run(
                                    .combiner = spec.combine});
 
   const std::size_t n = index.size();
-  pool_.run_parties(cfg_.num_threads, [&](std::size_t party) {
+  gpusim::run_parties(pool_, stats_, cfg_.num_threads, [&](std::size_t party) {
     const std::size_t lo = n * party / cfg_.num_threads;
     const std::size_t hi = n * (party + 1) / cfg_.num_threads;
     TableEmitter em(*locals[party], static_cast<std::uint32_t>(party));
@@ -52,20 +53,23 @@ std::unique_ptr<ChainedHashTable<HostArena>> PhoenixRuntime::run(
                                  .num_buckets = cfg_.merged_table_buckets,
                                  .combiner = spec.combine});
 
-  if (org == core::Organization::kCombining) {
-    for (std::uint32_t t = 0; t < cfg_.num_threads; ++t)
-      locals[t]->for_each([&](std::string_view k,
-                              std::span<const std::byte> v) {
-        merged->insert(t, k, v);
-      });
-  } else {
-    for (std::uint32_t t = 0; t < cfg_.num_threads; ++t)
-      locals[t]->for_each_group(
-          [&](std::string_view k,
-              const std::vector<std::span<const std::byte>>& vals) {
-            for (const auto& v : vals) merged->insert(t, k, v);
-          });
-  }
+  // Serial, so metered through a one-worker shard scope.
+  gpusim::run_serial(stats_, [&] {
+    if (org == core::Organization::kCombining) {
+      for (std::uint32_t t = 0; t < cfg_.num_threads; ++t)
+        locals[t]->for_each([&](std::string_view k,
+                                std::span<const std::byte> v) {
+          merged->insert(t, k, v);
+        });
+    } else {
+      for (std::uint32_t t = 0; t < cfg_.num_threads; ++t)
+        locals[t]->for_each_group(
+            [&](std::string_view k,
+                const std::vector<std::span<const std::byte>>& vals) {
+              for (const auto& v : vals) merged->insert(t, k, v);
+            });
+    }
+  });
   return merged;
 }
 

@@ -105,12 +105,11 @@ struct StatsSnapshot {
 };
 
 // One pool worker's private counter shard: plain (non-atomic) fields on a
-// worker-exclusive set of cache lines. Kernel code bumps its own shard with
+// worker-exclusive set of cache lines. Metered code bumps its own shard with
 // ordinary additions — no lock-prefixed RMW, no line shared with any other
-// worker — and gpusim::launch merges all shards into the canonical RunStats
-// atomics at kernel exit, while the virtual threads are quiescent. Generated
-// from the same SEPO_STATS_FIELDS X-macro, so the shard cannot drift from
-// the counter set.
+// worker — and the scope's end merges all shards into the canonical RunStats
+// atomics, while the workers are quiescent. Generated from the same
+// SEPO_STATS_FIELDS X-macro, so the shard cannot drift from the counter set.
 struct alignas(kCacheLineBytes) WorkerStats {
 #define SEPO_X(field, comment) std::uint64_t field = 0; /* comment */
   SEPO_STATS_FIELDS(SEPO_X)
@@ -118,18 +117,19 @@ struct alignas(kCacheLineBytes) WorkerStats {
 };
 
 // Thread-safe accumulating counters. Counts are read only between kernel
-// launches, when virtual threads are quiescent.
+// launches and pool jobs, when the workers are quiescent.
 //
 // Two metering paths:
-//  * Outside a kernel (host code, CPU-baseline parties): relaxed fetch_add
-//    on the shared atomics — correct from any thread, any time.
-//  * Inside a kernel (between begin_sharding/end_sharding, installed by
-//    gpusim::launch): each pool worker bumps its private WorkerStats shard;
-//    end_sharding folds the shards back into the atomics. Because uint64
-//    addition is commutative and wraps mod 2^64, the merged totals are
-//    bit-identical to what the all-atomic path would have produced, and the
-//    merge happens at the exact quiescent point (kernel exit) where
-//    snapshots, trace hooks, and the fault injector already observe totals.
+//  * Inside a shard scope (between begin_sharding/end_sharding, installed by
+//    gpusim::launch, gpusim::run_parties and gpusim::run_serial): each pool
+//    worker bumps its private WorkerStats shard; end_sharding folds the
+//    shards back into the atomics. Because uint64 addition is commutative
+//    and wraps mod 2^64, the merged totals are bit-identical to what the
+//    all-atomic path would have produced, and the merge happens at the exact
+//    quiescent point (kernel or job exit) where snapshots, trace hooks, and
+//    the fault injector already observe totals.
+//  * Anywhere else (serial host bookkeeping between launches): relaxed
+//    fetch_add on the shared atomics — correct from any thread, any time.
 class RunStats {
  public:
 #define SEPO_X(field, comment)                                                 \
@@ -169,14 +169,13 @@ class RunStats {
   void set_trace_hook(TraceHook* hook) noexcept { trace_hook_ = hook; }
   [[nodiscard]] TraceHook* trace_hook() const noexcept { return trace_hook_; }
 
-  // --- sharded metering (installed by gpusim::launch) ---
-  // Call from the host while virtual threads are quiescent, before the
-  // kernel's pool job is published: the pool's job-publication mutex then
-  // orders the plain shards_ write before any worker's read. Shard storage
-  // is owned here and reused across launches, so steady-state launches do
-  // not allocate.
+  // --- sharded metering (installed by the gpusim entry points) ---
+  // Call from the host while the workers are quiescent, before the pool job
+  // is published: the pool's job-publication mutex then orders the plain
+  // shards_ write before any worker's read. Shard storage is owned here and
+  // reused across scopes, so steady-state launches do not allocate.
   void begin_sharding(std::size_t workers) {
-    assert(shards_ == nullptr && "launches do not nest");
+    assert(shards_ == nullptr && "shard scopes do not nest");
     if (shard_storage_.size() < workers) shard_storage_.resize(workers);
     std::fill_n(shard_storage_.begin(), workers, WorkerStats{});
     n_shards_ = workers;
@@ -184,8 +183,8 @@ class RunStats {
   }
 
   // Folds the shards into the atomics and returns to the all-atomic path.
-  // Idempotent; called at kernel exit (again: virtual threads quiescent, the
-  // pool's completion wait ordered every shard write before this read).
+  // Idempotent; called at scope exit (again: workers quiescent, the pool's
+  // completion wait ordered every shard write before this read).
   void end_sharding() noexcept {
     WorkerStats* const shards = shards_;
     if (shards == nullptr) return;
@@ -209,25 +208,14 @@ class RunStats {
   SEPO_STATS_FIELDS(SEPO_X)
 #undef SEPO_X
   TraceHook* trace_hook_ = nullptr;
-  WorkerStats* shards_ = nullptr;  // non-null only while a kernel executes
+  WorkerStats* shards_ = nullptr;  // non-null only inside a shard scope
   std::size_t n_shards_ = 0;
   std::vector<WorkerStats> shard_storage_;
 };
 
-// RAII sharding scope for one kernel launch: constructor installs one shard
-// per pool worker, destructor merges them back — exception-safe, so a
-// throwing kernel still leaves totals consistent.
-class StatsShardScope {
- public:
-  StatsShardScope(RunStats& stats, std::size_t workers) : stats_(stats) {
-    stats_.begin_sharding(workers);
-  }
-  ~StatsShardScope() { stats_.end_sharding(); }
-  StatsShardScope(const StatsShardScope&) = delete;
-  StatsShardScope& operator=(const StatsShardScope&) = delete;
-
- private:
-  RunStats& stats_;
-};
+// The sharding scope the metered entry points in gpusim/launch.hpp install:
+// one shard per pool worker for a kernel or a pool job, one for a serial
+// host loop.
+using StatsShardScope = ShardScope<RunStats>;
 
 }  // namespace sepo::gpusim

@@ -99,7 +99,13 @@ class ExecContext {
   Event launch(std::size_t n_items, Kernel&& kernel, LaunchConfig cfg = {},
                Event after = {}) {
     const LaunchBaseline base = begin_launch(after, n_items);
-    gpusim::launch(pool_, stats_, n_items, std::forward<Kernel>(kernel), cfg);
+    {
+      // Remote traffic is metered per worker too; the shards fold before
+      // finish_launch reads the kernel's bus delta.
+      const ShardScope<PcieBus> remote_shards(dev_.bus(),
+                                              pool_.worker_count());
+      gpusim::launch(pool_, stats_, n_items, std::forward<Kernel>(kernel), cfg);
+    }
     if (launch_epilogue_) launch_epilogue_();
     return finish_launch(base, n_items);
   }

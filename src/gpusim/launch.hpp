@@ -79,6 +79,29 @@ void launch(ThreadPool& pool, RunStats& stats, std::size_t n_items,
   hook->on_kernel(stats.snapshot() - before, n_items);
 }
 
+// Runs `body(party)` once per party in [0, parties) on the pool
+// (ThreadPool::run_parties) with the counters sharded per worker for the
+// job's span, exactly as a kernel launch shards them — the metered entry
+// point for persistent per-thread host work such as the CPU baselines'
+// insert loops. Totals are bit-identical to unsharded metering.
+template <typename Body>
+void run_parties(ThreadPool& pool, RunStats& stats, std::size_t parties,
+                 Body&& body) {
+  StatsShardScope shards(stats, pool.worker_count());
+  pool.run_parties(parties, body);
+}
+
+// Runs the serial host loop `body()` on the calling thread as the single
+// worker of a one-shard scope, so its per-record bumps are plain additions
+// too. The body must not launch a kernel or a metered pool job on `stats`:
+// shard scopes do not nest.
+template <typename Body>
+void run_serial(RunStats& stats, Body&& body) {
+  StatsShardScope shards(stats, 1);
+  const WorkerIndexPin pin(0);
+  body();
+}
+
 // A spinlock in device memory (stands in for a CUDA atomicCAS lock). The
 // acquire is counted so the cost model can price contention: the paper
 // attributes Word Count's poor GPU showing to exactly this ("suffers from

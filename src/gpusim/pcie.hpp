@@ -9,10 +9,15 @@
 // compute Table III's lower bounds.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "gpusim/trace_hook.hpp"
+#include "gpusim/worker_id.hpp"
 
 namespace sepo::gpusim {
 
@@ -62,11 +67,44 @@ class PcieBus {
     if (trace_hook_) trace_hook_->on_d2h(bytes);
   }
 
-  // Small remote access from a device thread to pinned host memory.
+  // Small remote access from a device thread to pinned host memory. Inside
+  // a kernel (ExecContext::launch shards the bus) it is two plain additions
+  // to the calling worker's shard; elsewhere two relaxed fetch_adds.
   void remote(std::uint64_t bytes) noexcept {
-    remote_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    remote_txns_.fetch_add(1, std::memory_order_relaxed);
+    if (RemoteShard* shards = remote_shards_) {
+      RemoteShard& s = shards[current_worker_index()];
+      s.bytes += bytes;
+      ++s.txns;
+    } else {
+      remote_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+      remote_txns_.fetch_add(1, std::memory_order_relaxed);
+    }
     if (trace_hook_) trace_hook_->on_remote(bytes);
+  }
+
+  // --- sharded remote metering (the RunStats protocol, for remote()) ---
+  // Install from the host while the workers are quiescent, before the
+  // kernel's pool job is published; end_sharding folds the shards into the
+  // atomics (idempotent) before anything reads a snapshot. Sums commute, so
+  // snapshots are bit-identical to the unsharded path.
+  void begin_sharding(std::size_t workers) {
+    assert(remote_shards_ == nullptr && "shard scopes do not nest");
+    if (remote_shard_storage_.size() < workers)
+      remote_shard_storage_.resize(workers);
+    std::fill_n(remote_shard_storage_.begin(), workers, RemoteShard{});
+    n_remote_shards_ = workers;
+    remote_shards_ = remote_shard_storage_.data();
+  }
+
+  void end_sharding() noexcept {
+    RemoteShard* const shards = remote_shards_;
+    if (shards == nullptr) return;
+    remote_shards_ = nullptr;
+    for (std::size_t w = 0; w < n_remote_shards_; ++w) {
+      if (shards[w].txns == 0) continue;
+      remote_bytes_.fetch_add(shards[w].bytes, std::memory_order_relaxed);
+      remote_txns_.fetch_add(shards[w].txns, std::memory_order_relaxed);
+    }
   }
 
   // Telemetry hook (obs::TraceRecorder). Install from the host before the
@@ -121,11 +159,19 @@ class PcieBus {
   }
 
  private:
+  // One worker's remote meter on its own cache line.
+  struct alignas(kCacheLineBytes) RemoteShard {
+    std::uint64_t bytes = 0, txns = 0;
+  };
+
   PcieParams params_;
   TraceHook* trace_hook_ = nullptr;
   std::atomic<std::uint64_t> h2d_bytes_{0}, h2d_txns_{0};
   std::atomic<std::uint64_t> d2h_bytes_{0}, d2h_txns_{0};
   std::atomic<std::uint64_t> remote_bytes_{0}, remote_txns_{0};
+  RemoteShard* remote_shards_ = nullptr;  // non-null only inside a kernel
+  std::size_t n_remote_shards_ = 0;
+  std::vector<RemoteShard> remote_shard_storage_;
 };
 
 }  // namespace sepo::gpusim

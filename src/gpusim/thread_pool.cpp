@@ -2,16 +2,6 @@
 
 namespace sepo::gpusim {
 
-namespace {
-// Index of this OS thread within the pool whose job it is running. Helpers
-// set it once at startup; the submitting thread pins it to 0 for the span of
-// each job it participates in (see run_job), so the value is always in
-// [0, worker_count) of the pool that owns the current job.
-thread_local std::size_t t_worker_index = 0;
-}  // namespace
-
-std::size_t current_worker_index() noexcept { return t_worker_index; }
-
 ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) {
     const unsigned hc = std::thread::hardware_concurrency();
@@ -35,7 +25,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  t_worker_index = index;
+  detail::t_worker_index = index;
   std::uint64_t seen = 0;
   while (true) {
     Job* job = nullptr;
@@ -90,13 +80,12 @@ void ThreadPool::run_job(std::size_t n, std::size_t batch, BatchFn invoke,
     ++job_seq_;
   }
   cv_work_.notify_all();
-  // Participate as worker 0 of *this* pool for the span of the job; save and
-  // restore so a submitter that is itself a helper of some other pool does
-  // not leak a foreign index into this pool's shard addressing.
-  const std::size_t saved_index = t_worker_index;
-  t_worker_index = 0;
-  help(job);
-  t_worker_index = saved_index;
+  // Participate as worker 0 of *this* pool for the span of the job, so the
+  // worker index is always in [0, worker_count) of the job's pool.
+  {
+    const WorkerIndexPin pin(0);
+    help(job);
+  }
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [&] {

@@ -9,8 +9,7 @@ namespace sepo::mapreduce {
 MapReduceRuntime::MapReduceRuntime(gpusim::ExecContext& ctx, RuntimeConfig cfg)
     : ctx_(ctx), cfg_(cfg), pipeline_(ctx, cfg.pipeline) {}
 
-RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
-                                 const Partitioner& partition) {
+void MapReduceRuntime::build_table(const MrSpec& spec) {
   if (table_)
     throw std::logic_error(
         "MapReduceRuntime::run may be called once per runtime: the heap "
@@ -33,9 +32,10 @@ RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
     tcfg.combiner_assoc_comm = false;
   }
   table_ = std::make_unique<core::SepoHashTable>(ctx_, tcfg);
+}
 
-  const RecordIndex index =
-      partition ? partition(input) : index_lines(input);
+RunOutcome MapReduceRuntime::drive(std::string_view input, const MrSpec& spec,
+                                   const RecordIndex& index) {
   ProgressTracker progress(index.size(), /*multi_emit=*/true);
 
   core::SepoDriver driver(cfg_.driver);
@@ -49,6 +49,22 @@ RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
       });
   outcome.table = std::make_unique<core::HostTable>(table_->finalize());
   return outcome;
+}
+
+RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
+                                 const Partitioner& partition) {
+  // Table first, then the partition: callers that time their partitioner
+  // split run()'s interval on that order.
+  build_table(spec);
+  const RecordIndex index =
+      partition ? partition(input) : index_lines(input);
+  return drive(input, spec, index);
+}
+
+RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
+                                 const RecordIndex& index) {
+  build_table(spec);
+  return drive(input, spec, index);
 }
 
 }  // namespace sepo::mapreduce

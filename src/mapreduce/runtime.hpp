@@ -44,10 +44,21 @@ class MapReduceRuntime {
   // next run() or destruction.
   RunOutcome run(std::string_view input, const MrSpec& spec,
                  const Partitioner& partition = {});
+  // As above, over a record index the caller already built for `input`
+  // (e.g. to size the staging chunks), so the input is indexed once.
+  RunOutcome run(std::string_view input, const MrSpec& spec,
+                 const RecordIndex& index);
 
   [[nodiscard]] core::SepoHashTable* table() noexcept { return table_.get(); }
 
  private:
+  // Validates `spec` and builds the run's table in the organization its
+  // mode selects.
+  void build_table(const MrSpec& spec);
+  // Drives the SEPO iterations over `index` and finalizes the table.
+  RunOutcome drive(std::string_view input, const MrSpec& spec,
+                   const RecordIndex& index);
+
   gpusim::ExecContext& ctx_;
   RuntimeConfig cfg_;
   bigkernel::InputPipeline pipeline_;

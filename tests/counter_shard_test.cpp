@@ -1,8 +1,10 @@
 // Sharded-counter equivalence (gpusim::WorkerStats, DESIGN.md §5 "host
 // execution performance").
 //
-// gpusim::launch installs one counter shard per pool worker for the kernel's
-// duration and merges them back at kernel exit. Because uint64 addition is
+// gpusim::launch (and gpusim::run_parties for host pool jobs) installs one
+// counter shard per pool worker for the job's duration and merges them back
+// at its exit; gpusim::run_serial does the same with one shard for a serial
+// host loop. Because uint64 addition is
 // commutative, the merged totals must be *bit-identical* to what the
 // all-atomic metering path produces — that invariant is what keeps every
 // simulated result unchanged by the perf work. The fixture totals below were
@@ -10,11 +12,15 @@
 // they pin the invariant across future refactors.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "gpusim/counters.hpp"
+#include "gpusim/device.hpp"
+#include "gpusim/exec_context.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "gpusim/trace_hook.hpp"
@@ -121,7 +127,7 @@ TEST(CounterShardTest, StdFunctionOverloadMetersIdentically) {
 }
 
 TEST(CounterShardTest, AtomicPathUsedOutsideLaunch) {
-  // Host-side bumps (e.g. CPU-baseline parties) never see shards installed.
+  // Host-side bumps outside any shard scope meter through the atomics.
   RunStats stats;
   EXPECT_FALSE(stats.sharded());
   stats.add_hash_ops(7);
@@ -139,6 +145,98 @@ TEST(CounterShardTest, ShardScopeMergesOnce) {
     EXPECT_EQ(stats.snapshot().hash_ops, 3u);
   }
   EXPECT_EQ(stats.snapshot().hash_ops, 3u);
+}
+
+TEST(CounterShardTest, RunPartiesMergesAndMatchesAtomicPath) {
+  // The metered-parties entry point shards like a launch: 8 parties on a
+  // 4-worker pool, each metering a contiguous slice of the fixture. The
+  // scope has merged when the job returns, and the totals equal the
+  // all-atomic path's bit for bit (no launch, so no launch counter).
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kParties = 8;
+  ThreadPool pool(kWorkers);
+  RunStats sharded;
+  std::atomic<std::size_t> arrived{0};
+  run_parties(pool, sharded, kParties, [&](std::size_t party) {
+    // Rendezvous: a worker holds one party at a time, so the first kWorkers
+    // arrivals come from distinct workers and every shard gets bumps.
+    arrived.fetch_add(1);
+    while (arrived.load() < kWorkers) std::this_thread::yield();
+    for (std::size_t i = kItems * party / kParties;
+         i < kItems * (party + 1) / kParties; ++i)
+      fixture_kernel(sharded, i);
+  });
+  EXPECT_FALSE(sharded.sharded()) << "run_parties must merge at job exit";
+
+  RunStats atomic;
+  for (std::size_t i = 0; i < kItems; ++i) fixture_kernel(atomic, i);
+  EXPECT_EQ(sharded.snapshot(), atomic.snapshot());
+  StatsSnapshot expected = recorded_fixture();
+  expected.kernel_launches = 0;
+  EXPECT_EQ(sharded.snapshot(), expected);
+}
+
+TEST(CounterShardTest, RunSerialMergesOnAnotherPoolsHelper) {
+  // A serial metered loop is the single worker of a one-shard scope, even
+  // on a helper thread of another pool (worker index != 0): it pins its
+  // index for the scope and restores it afterwards.
+  constexpr std::size_t kParties = 4;
+  ThreadPool outer(kParties);
+  std::vector<StatsSnapshot> totals(kParties);
+  std::vector<int> merged(kParties, 0), restored(kParties, 0);
+  std::atomic<std::size_t> arrived{0};
+  outer.run_parties(kParties, [&](std::size_t party) {
+    // Rendezvous: one party per worker, so three run on helpers.
+    arrived.fetch_add(1);
+    while (arrived.load() < kParties) std::this_thread::yield();
+    RunStats stats;
+    const std::size_t index = current_worker_index();
+    run_serial(stats, [&stats] {
+      for (std::size_t i = 0; i < kItems; ++i) fixture_kernel(stats, i);
+    });
+    totals[party] = stats.snapshot();
+    merged[party] = !stats.sharded();
+    restored[party] = current_worker_index() == index;
+  });
+  StatsSnapshot expected = recorded_fixture();
+  expected.kernel_launches = 0;
+  for (std::size_t p = 0; p < kParties; ++p) {
+    EXPECT_EQ(totals[p], expected) << "party " << p;
+    EXPECT_TRUE(merged[p]) << "party " << p;
+    EXPECT_TRUE(restored[p]) << "party " << p;
+  }
+}
+
+TEST(CounterShardTest, RemoteBusShardsFoldBeforeTheLaunchIsPriced) {
+  // Remote transactions issued inside ExecContext::launch land in per-worker
+  // bus shards, which fold before the launch reads its bus delta: the bus
+  // snapshot and the scheduled remote-access command carry the exact serial
+  // totals.
+  Device dev(1u << 20);
+  ThreadPool pool(4);
+  RunStats stats;
+  ExecContext ctx(dev, pool, stats);
+  std::uint64_t want_bytes = 0;
+  for (std::size_t i = 0; i < kItems; ++i) want_bytes += i % 61;
+  ctx.launch(kItems, [&dev](std::size_t i) { dev.bus().remote(i % 61); },
+             {.grid_threads = kGrid});
+
+  const PcieSnapshot bus = dev.bus().snapshot();
+  EXPECT_EQ(bus.remote_txns, kItems);
+  EXPECT_EQ(bus.remote_bytes, want_bytes);
+  std::size_t remote_cmds = 0;
+  for (const TimelineCommand& c : ctx.timeline().commands()) {
+    if (c.kind != TimelineCommandKind::kRemoteAccess) continue;
+    ++remote_cmds;
+    EXPECT_EQ(c.arg0, want_bytes);
+    EXPECT_EQ(c.arg1, kItems);
+  }
+  EXPECT_EQ(remote_cmds, 1u);
+
+  // Outside a launch the bus meters through its atomics as before.
+  dev.bus().remote(5);
+  EXPECT_EQ(dev.bus().snapshot().remote_txns, kItems + 1);
+  EXPECT_EQ(dev.bus().snapshot().remote_bytes, want_bytes + 5);
 }
 
 // Hook that records the deltas launch() reports.

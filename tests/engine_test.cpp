@@ -247,5 +247,59 @@ TEST(BaselineCounterIdentityTest, MatchesRecordedCounters) {
   }
 }
 
+// The CPU baselines meter their pool jobs through per-worker counter shards
+// (gpusim::run_parties), so the worker count must not move a counter that
+// the schedule does not decide. Phoenix maps each party into a private
+// table and merges serially, so all of its counters are a pure function of
+// the input and the party count. The cpu baseline's parties share one
+// table, so its probe counters depend on which party inserts a key first;
+// the fields below do not. lock_contended and atomic_retries are left out
+// of both (they meter real host spins).
+RunResult run_baseline(const char* app_key, const char* engine,
+                       std::size_t pool_workers) {
+  const AppInfo& app = *find_app(app_key);
+  const std::string input = app.generate(96u << 10, /*seed=*/42);
+  EngineConfig cfg;
+  cfg.cpu.pool_workers = pool_workers;
+  cfg.cpu.num_threads = 8;
+  cfg.cpu.num_buckets = 1u << 8;
+  return find_engine(engine)->run(app, input, cfg);
+}
+
+TEST(BaselineWorkerCountTest, PhoenixCountersIndependentOfPoolWorkers) {
+  for (const char* app : {"wc", "pc"}) {
+    SCOPED_TRACE(app);
+    const RunResult one = run_baseline(app, "phoenix", 1);
+    const RunResult four = run_baseline(app, "phoenix", 4);
+    ASSERT_FALSE(one.error) << one.error.message;
+    ASSERT_FALSE(four.error) << four.error.message;
+    EXPECT_EQ(four.checksum, one.checksum);
+    EXPECT_EQ(four.keys, one.keys);
+    EXPECT_EQ(four.table_bytes, one.table_bytes);
+    EXPECT_EQ(nonzero_counters(four.stats), nonzero_counters(one.stats));
+  }
+}
+
+TEST(BaselineWorkerCountTest, CpuOrderIndependentCountersMatch) {
+  for (const char* app : {"pvc", "ii"}) {
+    SCOPED_TRACE(app);
+    const RunResult one = run_baseline(app, "cpu", 1);
+    const RunResult four = run_baseline(app, "cpu", 4);
+    ASSERT_FALSE(one.error) << one.error.message;
+    ASSERT_FALSE(four.error) << four.error.message;
+    EXPECT_EQ(four.checksum, one.checksum);
+    EXPECT_EQ(four.keys, one.keys);
+    const gpusim::StatsSnapshot& a = one.stats;
+    const gpusim::StatsSnapshot& b = four.stats;
+    EXPECT_EQ(b.records_processed, a.records_processed);
+    EXPECT_EQ(b.work_units, a.work_units);
+    EXPECT_EQ(b.hash_ops, a.hash_ops);
+    EXPECT_EQ(b.inserts_new, a.inserts_new);
+    EXPECT_EQ(b.combines, a.combines);
+    EXPECT_EQ(b.alloc_ops, a.alloc_ops);
+    EXPECT_EQ(b.lock_acquires, a.lock_acquires);
+  }
+}
+
 }  // namespace
 }  // namespace sepo::apps
