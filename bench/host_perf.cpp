@@ -219,7 +219,7 @@ InsertRun run_insert_pass(std::size_t workers,
   // relative to the key population). Here the scalar path pays a long
   // probe per record — hot Zipf keys sit at the chain tail because §III-B
   // prepends at the head — while the batched drain probes each distinct
-  // key once per drain and mirrors repeat probes arithmetically.
+  // key once per drain and charges each repeat what that probe cost.
   tcfg.num_buckets = 256;
   tcfg.buckets_per_group = 64;  // keep a few allocation groups
   core::SepoHashTable ht(ctx, tcfg);

@@ -59,7 +59,6 @@ std::uint32_t PagePool::acquire(gpusim::RunStats& stats) noexcept {
       m.pending_keys.store(0, std::memory_order_relaxed);
       return page;
     }
-    stats.add_atomic_retries();
   }
 }
 

@@ -10,6 +10,13 @@ namespace sepo::core {
 
 namespace {
 constexpr bool is_pow2(std::uint64_t v) { return v && (v & (v - 1)) == 0; }
+
+// Shortlex order (length first, then bytes): the canonical order of the
+// entries one launch prepended to a bucket.
+int canonical_compare(std::string_view a, std::string_view b) noexcept {
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  return a.compare(b);
+}
 }  // namespace
 
 BucketChainStore::BucketChainStore(gpusim::ExecContext& ctx,
@@ -59,37 +66,118 @@ std::uint32_t BucketChainStore::bucket_of(std::string_view key) const noexcept {
   return bucket_of(hash_key(key));
 }
 
-DevPtr BucketChainStore::find_in_chain(std::uint32_t b, std::string_view key,
-                                       ProbeCost& cost) const {
-  for (DevPtr p = buckets_[b].head_dev.load(std::memory_order_relaxed);
-       p != gpusim::kDevNull;) {
+template <typename Entry>
+void BucketChainStore::sort_fresh(std::uint32_t b) {
+  // The earlier launch's prepends sit at the head in arrival order: relink
+  // them in key order, still ahead of every entry from before that launch.
+  gpusim::PaddedBucketLock& line = bucket_locks_[b];
+  Bucket& bucket = buckets_[b];
+  thread_local std::vector<DevPtr> group;
+  group.clear();
+  DevPtr rest = bucket.head_dev.load(std::memory_order_relaxed);
+  for (std::uint32_t n = line.fresh; n > 0 && rest != gpusim::kDevNull; --n) {
+    group.push_back(rest);
+    rest = dev_.ptr<Entry>(rest)->next_dev;
+  }
+  std::sort(group.begin(), group.end(), [this](DevPtr x, DevPtr y) {
+    return canonical_compare(dev_.ptr<Entry>(x)->key(),
+                             dev_.ptr<Entry>(y)->key()) < 0;
+  });
+  for (auto it = group.rbegin(); it != group.rend(); ++it) {
+    dev_.ptr<Entry>(*it)->next_dev = rest;
+    rest = *it;
+  }
+  bucket.head_dev.store(rest, std::memory_order_relaxed);
+  line.fresh = 0;
+}
+
+template <typename Entry>
+DevPtr BucketChainStore::probe(std::uint32_t b, std::string_view key,
+                               ProbeCost& cost) {
+  const gpusim::PaddedBucketLock& line = bucket_locks_[b];
+  if (line.fresh > 0 && line.fresh_epoch != stats_.launch_epoch())
+    sort_fresh<Entry>(b);
+  const std::uint64_t key_len = key.size();
+  DevPtr p = buckets_[b].head_dev.load(std::memory_order_relaxed);
+
+  // This launch's prepends sit at the head: a hit on one is a head hit,
+  // and only a miss pays for walking them.
+  ProbeCost fresh_walked;
+  for (std::uint32_t n = line.fresh; n > 0 && p != gpusim::kDevNull; --n) {
+    const auto* e = dev_.ptr<Entry>(p);
+    if (e->key() == key) {
+      ++cost.links;
+      cost.bytes += key_len;
+      return p;
+    }
+    ++fresh_walked.links;
+    fresh_walked.bytes += std::min<std::uint64_t>(e->key_len, key_len);
+    p = e->next_dev;
+  }
+
+  // Older entries are in canonical order, so the physical walk is the
+  // charge: a hit pays for the entries ahead of it plus its own.
+  for (; p != gpusim::kDevNull;) {
+    const auto* e = dev_.ptr<Entry>(p);
     ++cost.links;
-    const auto* e = dev_.ptr<KvEntry>(p);
-    const auto cmp = std::min<std::uint64_t>(e->key_len, key.size());
-    cost.bytes += cmp;
+    cost.bytes += std::min<std::uint64_t>(e->key_len, key_len);
     if (e->key() == key) return p;
     p = e->next_dev;
   }
+  cost.links += fresh_walked.links;
+  cost.bytes += fresh_walked.bytes;
   return gpusim::kDevNull;
 }
 
+DevPtr BucketChainStore::find_in_chain(std::uint32_t b, std::string_view key,
+                                       ProbeCost& cost) {
+  return probe<KvEntry>(b, key, cost);
+}
+
 DevPtr BucketChainStore::find_key_entry(std::uint32_t b, std::string_view key,
-                                        ProbeCost& cost) const {
-  for (DevPtr p = buckets_[b].head_dev.load(std::memory_order_relaxed);
-       p != gpusim::kDevNull;) {
-    ++cost.links;
-    const auto* e = dev_.ptr<KeyEntry>(p);
-    const auto cmp = std::min<std::uint64_t>(e->key_len, key.size());
-    cost.bytes += cmp;
-    if (e->key() == key) return p;
-    p = e->next_dev;
+                                        ProbeCost& cost) {
+  return probe<KeyEntry>(b, key, cost);
+}
+
+void BucketChainStore::prepend(std::uint32_t b, DevPtr dev, HostPtr host) {
+  if (cfg_.org == Organization::kMultiValued)
+    prepend_as<KeyEntry>(b, dev, host);
+  else
+    prepend_as<KvEntry>(b, dev, host);
+}
+
+template <typename Entry>
+void BucketChainStore::prepend_as(std::uint32_t b, DevPtr dev, HostPtr host) {
+  link_head<Entry>(b, dev);
+  auto* e = dev_.ptr<Entry>(dev);
+  Bucket& bucket = buckets_[b];
+  e->next_host = bucket.head_host;
+  bucket.head_host = host;
+}
+
+void BucketChainStore::relink_resident(std::uint32_t b, DevPtr dev) {
+  link_head<KeyEntry>(b, dev);
+}
+
+template <typename Entry>
+void BucketChainStore::link_head(std::uint32_t b, DevPtr dev) {
+  gpusim::PaddedBucketLock& line = bucket_locks_[b];
+  const std::uint64_t epoch = stats_.launch_epoch();
+  if (line.fresh_epoch != epoch) {
+    if (line.fresh > 0) sort_fresh<Entry>(b);
+    line.fresh_epoch = epoch;
   }
-  return gpusim::kDevNull;
+  ++line.fresh;
+  Bucket& bucket = buckets_[b];
+  dev_.ptr<Entry>(dev)->next_dev =
+      bucket.head_dev.load(std::memory_order_relaxed);
+  bucket.head_dev.store(dev, std::memory_order_release);
 }
 
 void BucketChainStore::clear_device_chains() {
   for (Bucket& b : buckets_)
     b.head_dev.store(gpusim::kDevNull, std::memory_order_relaxed);
+  for (gpusim::PaddedBucketLock& line : bucket_locks_) line.fresh = 0;
 }
 
 void BucketChainStore::flush_pages(const std::vector<std::uint32_t>& pages) {
@@ -101,17 +189,18 @@ void BucketChainStore::flush_pages(const std::vector<std::uint32_t>& pages) {
     if (used > 0) {
       host_heap_->store_page(slot, dev_.ptr(pool_pages_->page_base(p)), used);
       dev_.bus().d2h(used);
-      // Flushes halt computation (§IV-C): each page copy is a barrier
-      // command on the d2h path.
-      ctx_.flush_d2h(used);
-      flushed_bytes_ += used;
-      ++flush_pages_;
       ++flushed_pages;
       flushed_bytes += used;
     }
     pool_pages_->release(p, &stats_);
   }
-  if (auto* hook = stats_.trace_hook(); hook && flushed_pages > 0)
+  if (flushed_pages == 0) return;
+  // Priced from the flush's totals, not page by page: which entries share a
+  // page follows arrival order, the page count and byte total do not.
+  ctx_.flush_d2h(flushed_bytes, flushed_pages);
+  flushed_bytes_ += flushed_bytes;
+  flush_pages_ += flushed_pages;
+  if (auto* hook = stats_.trace_hook())
     hook->on_flush(flushed_pages, flushed_bytes);
 }
 

@@ -64,6 +64,11 @@ struct HashTableStats {
 
 class BucketChainStore {
  public:
+  // Device chain order (DESIGN.md §5d "Probe charge"): the first
+  // `PaddedBucketLock::fresh` entries of a bucket's device chain were
+  // prepended during launch `fresh_epoch`, in arrival order; the entries
+  // after them are in canonical order — by the launch that prepended them,
+  // newest first, and by key within one launch.
   struct Bucket {
     std::atomic<DevPtr> head_dev{gpusim::kDevNull};
     HostPtr head_host = alloc::kHostNull;  // guarded by the bucket lock
@@ -97,21 +102,32 @@ class BucketChainStore {
     return bucket_locks_[b];
   }
 
-  // Probe work a single chain walk performed — the batched drain records it
-  // per distinct key so repeat probes can be mirrored arithmetically.
+  // Probe work charged for one chain lookup. The batched drain records it
+  // per distinct key so that repeat probes cost what the first one did.
   struct ProbeCost {
     std::uint32_t links = 0;
     std::uint64_t bytes = 0;
   };
 
-  // Walks the device chain of bucket `b` for `key`; returns entry dev ptr or
-  // null. Caller holds the bucket lock. The ProbeCost overloads report the
-  // walk's cost to the caller WITHOUT touching RunStats — the batched drain
-  // folds many walks into one counter add per drain (same totals, no
-  // per-link shared-atomic traffic from the drain thread). The plain
-  // overloads charge the walk to RunStats, as the scalar path expects.
-  [[nodiscard]] DevPtr find_in_chain(std::uint32_t b,
-                                     std::string_view key) const {
+  // Looks `key` up in the device chain of bucket `b`; returns the entry's
+  // dev ptr or null. Caller holds the bucket lock. The charge follows one
+  // rule whose per-launch totals do not depend on the order in which
+  // workers reach the bucket (DESIGN.md §5d "Probe charge"):
+  //  * entries the bucket held when the current launch began are taken in
+  //    canonical order — by the launch that prepended them, newest first
+  //    (as prepend-at-head leaves them), then by key — and a hit pays one
+  //    link (and its compare bytes) for each entry ahead of its own, plus
+  //    its own; a miss pays for all of them;
+  //  * a miss also pays for every entry this launch already prepended to
+  //    the bucket, and a hit on such an entry pays as a head hit (1 link).
+  // The first touch of a bucket in a later launch sorts the entries an
+  // earlier launch prepended by key, so the device chain is in canonical
+  // order and a hit walks exactly the links it is charged for. The
+  // ProbeCost overloads report the charge to the caller WITHOUT touching
+  // RunStats — the batched drain folds many probes into one counter add
+  // per drain. The plain overloads charge RunStats, as the scalar path
+  // expects.
+  [[nodiscard]] DevPtr find_in_chain(std::uint32_t b, std::string_view key) {
     ProbeCost cost;
     const DevPtr p = find_in_chain(b, key, cost);
     stats_.add_chain_links(cost.links);
@@ -119,9 +135,8 @@ class BucketChainStore {
     return p;
   }
   [[nodiscard]] DevPtr find_in_chain(std::uint32_t b, std::string_view key,
-                                     ProbeCost& cost) const;
-  [[nodiscard]] DevPtr find_key_entry(std::uint32_t b,
-                                      std::string_view key) const {
+                                     ProbeCost& cost);
+  [[nodiscard]] DevPtr find_key_entry(std::uint32_t b, std::string_view key) {
     ProbeCost cost;
     const DevPtr p = find_key_entry(b, key, cost);
     stats_.add_chain_links(cost.links);
@@ -129,16 +144,31 @@ class BucketChainStore {
     return p;
   }
   [[nodiscard]] DevPtr find_key_entry(std::uint32_t b, std::string_view key,
-                                      ProbeCost& cost) const;
+                                      ProbeCost& cost);
+
+  // Links the freshly allocated entry at `dev`/`host` (a KvEntry, or a
+  // KeyEntry in a multi-valued table) in as the head of both chains of
+  // bucket `b` ("new KV pairs are always inserted at the head", §III-B)
+  // and counts it as prepended in the current launch. Caller holds the
+  // bucket lock.
+  void prepend(std::uint32_t b, DevPtr dev, HostPtr host);
+
+  // Re-links the resident KeyEntry at `dev` into the device chain of bucket
+  // `b` only (multi-valued chain rebuild; its host chain is complete). It
+  // counts as prepended in the rebuild launch, so the next launch to touch
+  // the bucket sorts the rebuilt entries by key. Caller holds the bucket
+  // lock.
+  void relink_resident(std::uint32_t b, DevPtr dev);
 
   // Resets every bucket's device head to null. Used after the flushed pages
   // leave the device: the chains then point into freed memory. Host chains
   // are complete and untouched.
   void clear_device_chains();
 
-  // Copies each page's used bytes into the host mirror heap (metered as d2h
-  // barrier commands — flushes halt computation, §IV-C) and returns the
-  // pages to the pool.
+  // Copies each page's used bytes into the host mirror heap and returns the
+  // pages to the pool. Every non-empty page crosses the bus as its own
+  // transaction, and the whole flush is one d2h barrier command priced from
+  // its totals (ExecContext::flush_d2h) — flushes halt computation, §IV-C.
   void flush_pages(const std::vector<std::uint32_t>& pages);
 
   // Copies the bucket heads' host pointers back (one bulk transfer) for
@@ -172,6 +202,20 @@ class BucketChainStore {
   gpusim::RunStats& stats_;
   HashTableConfig cfg_;
   std::uint32_t bucket_mask_;
+
+  template <typename Entry>
+  [[nodiscard]] DevPtr probe(std::uint32_t b, std::string_view key,
+                             ProbeCost& cost);
+  // Relinks the entries an earlier launch prepended to bucket `b` in
+  // canonical key order.
+  template <typename Entry>
+  void sort_fresh(std::uint32_t b);
+  // Makes `dev` the head of the device chain of `b`, counted as prepended
+  // in the current launch.
+  template <typename Entry>
+  void link_head(std::uint32_t b, DevPtr dev);
+  template <typename Entry>
+  void prepend_as(std::uint32_t b, DevPtr dev, HostPtr host);
 
   std::unique_ptr<alloc::PagePool> pool_pages_;
   std::unique_ptr<alloc::HostHeap> host_heap_;

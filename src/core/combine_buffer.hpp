@@ -14,8 +14,8 @@
 //     operation;
 //   * pre-groups records by key for the other organizations (and for
 //     non-assoc combiners, whose applications must stay in arrival order),
-//     so the drain probes each distinct key's chain once and mirrors the
-//     remaining probes arithmetically.
+//     so the drain probes each distinct key's chain once and charges the
+//     remaining probes what the first one cost.
 //
 // Layout is SoA-ish and cache-line friendly: a flat pow2 index of slot ids
 // keyed by hash, a dense slot array, a dense arrival log, and one byte arena
@@ -92,17 +92,10 @@ class CombineBuffer {
     // which fails the same way) so the mirrored counters stay exact.
     std::uint8_t state = 0;
     DevPtr entry = 0;            // resolved chain entry (KvEntry / KeyEntry)
-    std::uint32_t depth_links = 0;   // probe links to reach `entry` ...
+    std::uint32_t depth_links = 0;   // probe charge to reach `entry` ...
     std::uint64_t depth_bytes = 0;   // ... and compare bytes, at resolution
     std::uint32_t dense = 0;         // bucket's index in the drain's sorted
                                      // distinct-bucket set (DrainScratch)
-    std::uint32_t prepend_mark = 0;  // bucket prepend count at resolution
-    // Monotone mirror cache: prepends [prepend_mark, mirror_count) have
-    // been folded into mirror_bytes already, so a repeat record only walks
-    // the prepends that arrived since the previous repeat — O(1) amortized
-    // instead of O(prepends-since-resolution) per record.
-    std::uint32_t mirror_count = 0;
-    std::uint64_t mirror_bytes = 0;
   };
 
   // Reusable drain-side working set, owned by the buffer so that
@@ -117,10 +110,6 @@ class CombineBuffer {
   struct DrainScratch {
     std::vector<std::uint32_t> locked;
     std::vector<std::uint32_t> accesses;  // per dense id, record counts
-    // Per dense id: key lengths of the entries this drain prepended to the
-    // bucket, in prepend order (forward — the mirror cache consumes it
-    // incrementally).
-    std::vector<std::vector<std::uint32_t>> prepends;
     std::uint64_t chain_links = 0;
     std::uint64_t key_compare_bytes = 0;
 
@@ -129,26 +118,14 @@ class CombineBuffer {
           std::lower_bound(locked.begin(), locked.end(), b) - locked.begin());
     }
 
-    // Accumulates the probe cost the scalar path would have paid to reach
-    // slot `s`'s resolved entry now: its depth at resolution plus one link
-    // (and one partial compare) per same-bucket prepend since — without
-    // re-walking the device chain (the "hoisted" probe).
-    void mirror_repeat(Slot& s) noexcept {
-      const std::vector<std::uint32_t>& lens = prepends[s.dense];
-      const auto cur = static_cast<std::uint32_t>(lens.size());
-      while (s.mirror_count < cur)
-        s.mirror_bytes += std::min(lens[s.mirror_count++], s.key_len);
-      chain_links += s.depth_links + (cur - s.prepend_mark);
-      key_compare_bytes += s.depth_bytes + s.mirror_bytes;
-    }
-
-    // Marks slot `s` resolved as of now: only later prepends to its bucket
-    // count as "newer" for the mirror (call after pushing the slot's own
-    // fresh prepend, so it excludes itself).
-    void mark_resolved(Slot& s) noexcept {
-      s.prepend_mark = static_cast<std::uint32_t>(prepends[s.dense].size());
-      s.mirror_count = s.prepend_mark;
-      s.mirror_bytes = 0;
+    // Accumulates the probe charge the scalar path would pay to reach slot
+    // `s`'s resolved entry again in this launch: exactly what resolving it
+    // cost. The probe rule (BucketChainStore::find_in_chain) charges a hit
+    // independently of later prepends to the bucket, so the chain need not
+    // be walked again.
+    void charge_repeat(const Slot& s) noexcept {
+      chain_links += s.depth_links;
+      key_compare_bytes += s.depth_bytes;
     }
   };
 

@@ -123,7 +123,7 @@ CombineBufferTotals SepoHashTable::combine_buffer_totals() const noexcept {
   return t;
 }
 
-const KvEntry* SepoHashTable::find_resident(std::string_view key) const {
+const KvEntry* SepoHashTable::find_resident(std::string_view key) {
   stats_.add_hash_ops();
   const DevPtr p = store_.find_in_chain(store_.bucket_of(key), key);
   return p == gpusim::kDevNull ? nullptr : store_.device().ptr<KvEntry>(p);

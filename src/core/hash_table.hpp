@@ -64,9 +64,10 @@ class SepoHashTable {
   }
 
   // Device-side lookup over the *resident* chain (current-iteration data).
-  // Returns nullptr when the key is not resident. Used by tests and by the
-  // SEPO-lookup extension; population-phase apps only insert.
-  [[nodiscard]] const KvEntry* find_resident(std::string_view key) const;
+  // Returns nullptr when the key is not resident. Call between kernels (it
+  // takes no bucket lock, and the probe may reorder the device chain).
+  // Used by tests; population-phase apps only insert.
+  [[nodiscard]] const KvEntry* find_resident(std::string_view key);
 
   // ------- SEPO iteration protocol (host side, Figure 5) -------
 

@@ -45,15 +45,11 @@ Status insert_new_kv(BucketChainStore& store, std::uint32_t b,
   if (!a.ok()) return Status::kPostpone;
 
   auto* e = store.device().ptr<KvEntry>(a.dev);
-  BucketChainStore::Bucket& bucket = store.bucket(b);
-  e->next_dev = bucket.head_dev.load(std::memory_order_relaxed);
-  e->next_host = bucket.head_host;
   e->key_len = key_len;
   e->val_len = val_len;
   std::memcpy(e->key_data(), key.data(), key_len);
   if (val_len) std::memcpy(e->value_data(), value.data(), val_len);
-  bucket.head_host = a.host;
-  bucket.head_dev.store(a.dev, std::memory_order_release);
+  store.prepend(b, a.dev, a.host);
   store.stats().add_inserts_new();
   return Status::kSuccess;
 }
@@ -99,8 +95,6 @@ DrainOutcome drain_runs(BucketChainStore& store, CombineBuffer& buf,
                    ctx.locked.end());
   const std::size_t n = ctx.locked.size();
   ctx.accesses.assign(n, 0);
-  if (ctx.prepends.size() < n) ctx.prepends.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ctx.prepends[i].clear();
   ctx.chain_links = 0;
   ctx.key_compare_bytes = 0;
 
@@ -189,11 +183,11 @@ class CombiningPolicy final : public OrganizationPolicy {
           CombineBuffer::Slot& s = slots[e.slot];
 
           if (s.state == 1) {
-            // Repeat record of an already-resolved key: mirror the probe
+            // Repeat record of an already-resolved key: charge the probe
             // the scalar path would have paid, then combine. This is the
             // hot path for skewed keys — everything accumulates locally.
             ++ctx.accesses[s.dense];
-            ctx.mirror_repeat(s);
+            ctx.charge_repeat(s);
             ++combines;
             if (!precombined) {
               auto* kv = store.device().ptr<KvEntry>(s.entry);
@@ -225,7 +219,6 @@ class CombiningPolicy final : public OrganizationPolicy {
             s.entry = existing;
             s.depth_links = cost.links;
             s.depth_bytes = cost.bytes;
-            ctx.mark_resolved(s);
             s.state = 1;
             return false;
           }
@@ -242,10 +235,8 @@ class CombiningPolicy final : public OrganizationPolicy {
             return true;
           }
           s.entry = store.bucket(b).head_dev.load(std::memory_order_relaxed);
-          s.depth_links = 1;  // freshly prepended: at the head
+          s.depth_links = 1;  // prepended in this launch: a head hit
           s.depth_bytes = s.key_len;
-          ctx.prepends[s.dense].push_back(s.key_len);
-          ctx.mark_resolved(s);
           s.state = 1;
           return false;
         });
@@ -283,10 +274,10 @@ class MultiValuedPolicy final : public OrganizationPolicy {
 
           DevPtr kp;
           if (s.state == 1) {
-            // Key already resolved by this batch: mirror the probe, reuse
+            // Key already resolved by this batch: charge the probe, reuse
             // the cached KeyEntry.
             ++ctx.accesses[s.dense];
-            ctx.mirror_repeat(s);
+            ctx.charge_repeat(s);
             kp = s.entry;
           } else {
             s.dense = ctx.dense_of(b);
@@ -302,14 +293,12 @@ class MultiValuedPolicy final : public OrganizationPolicy {
                                s.hash);
                 return true;
               }
-              s.depth_links = 1;
+              s.depth_links = 1;  // prepended in this launch: a head hit
               s.depth_bytes = s.key_len;
-              ctx.prepends[s.dense].push_back(s.key_len);
             } else {
               s.depth_links = cost.links;
               s.depth_bytes = cost.bytes;
             }
-            ctx.mark_resolved(s);
             s.entry = kp;
             s.state = 1;
           }
@@ -387,16 +376,12 @@ class MultiValuedPolicy final : public OrganizationPolicy {
         store.stats());
     if (!ka.ok()) return gpusim::kDevNull;
     auto* ke = store.device().ptr<KeyEntry>(ka.dev);
-    BucketChainStore::Bucket& bucket = store.bucket(b);
-    ke->next_dev = bucket.head_dev.load(std::memory_order_relaxed);
-    ke->next_host = bucket.head_host;
     ke->vhead_dev = gpusim::kDevNull;
     ke->vhead_host = alloc::kHostNull;
     ke->key_len = key_len;
     ke->page = ka.page;
     std::memcpy(ke->key_data(), key.data(), key_len);
-    bucket.head_host = ka.host;
-    bucket.head_dev.store(ka.dev, std::memory_order_release);
+    store.prepend(b, ka.dev, ka.host);
     store.stats().add_inserts_new();
     return ka.dev;
   }
@@ -453,8 +438,7 @@ class MultiValuedPolicy final : public OrganizationPolicy {
         const std::uint32_t b = store.bucket_of(ke->key());
         ke->vhead_dev = gpusim::kDevNull;  // all value pages were flushed
         gpusim::DeviceLockGuard guard(store.lock(b).lock, store.stats());
-        ke->next_dev = store.bucket(b).head_dev.load(std::memory_order_relaxed);
-        store.bucket(b).head_dev.store(ep, std::memory_order_release);
+        store.relink_resident(b, ep);
         store.stats().add_chain_links();
         off += ke->byte_size();
       }

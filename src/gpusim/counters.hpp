@@ -41,8 +41,11 @@ class TraceHook;
   X(page_acquires, "pages claimed from the pool")                              \
   /* Synchronization level */                                                  \
   X(lock_acquires, "lock acquire/release pairs")                               \
-  X(lock_contended, "acquires that found the lock held")                       \
-  X(atomic_retries, "CAS retries")                                             \
+  /* lock_contended and atomic_retries read 0: host spin outcomes are     */   \
+  /* not simulated events. Contention is priced by serialization_time     */   \
+  /* from per-bucket op counts; both fields stay in the metrics schema.   */   \
+  X(lock_contended, "always 0; contention is modelled, not counted")           \
+  X(atomic_retries, "always 0; CAS retries are host outcomes")                 \
   /* Control level */                                                          \
   X(divergent_units, "work units executed under warp divergence")              \
   X(kernel_launches, "kernel launches")                                        \
@@ -160,6 +163,14 @@ class RunStats {
 #define SEPO_X(field, comment) field##_.store(0, std::memory_order_relaxed);
     SEPO_STATS_FIELDS(SEPO_X)
 #undef SEPO_X
+  }
+
+  // The number of kernel launches begun so far, read from any thread. Inside
+  // a kernel (and its launch epilogue) it names that launch: gpusim::launch
+  // bumps the counter before the grid runs and nothing else does, so table
+  // code can tell work done in the current launch from work done before it.
+  [[nodiscard]] std::uint64_t launch_epoch() const noexcept {
+    return kernel_launches_.load(std::memory_order_relaxed);
   }
 
   // Optional telemetry hook (obs::TraceRecorder). Install before a run, from

@@ -206,17 +206,19 @@ Event ExecContext::finish_launch(const LaunchBaseline& base,
   return done;
 }
 
-Event ExecContext::flush_d2h(std::uint64_t bytes) {
+Event ExecContext::flush_d2h(std::uint64_t bytes, std::uint64_t pages) {
   // The flush cannot start before queued compute finishes, and computation
   // (and further staging) halts until it completes (paper §IV-C).
   flush_.wait(compute_.record());
-  if (faults_) fault_transfer_attempts(/*is_d2h=*/true, bytes);
-  const Event done = flush_.d2h_flush(bytes);
+  if (faults_)
+    for (std::uint64_t i = 0; i < pages; ++i)
+      fault_transfer_attempts(/*is_d2h=*/true, bytes / pages);
+  const Event done = flush_.d2h_flush(bytes, pages);
   compute_.wait(done);
   copy_.wait(done);
   publish_sim_now();
   if (journal_ != nullptr)
-    journal_->record(JournalEventKind::kFlushBarrier, 0, bytes);
+    journal_->record(JournalEventKind::kFlushBarrier, pages, bytes);
   return done;
 }
 

@@ -121,11 +121,14 @@ class ExecContext {
     launch_epilogue_ = std::move(fn);
   }
 
-  // Schedules a d2h flush transfer of `bytes` (the caller already performed
-  // the page copy and bus metering). Flushes halt computation (§IV-C): the
-  // transfer waits for all queued compute, and both the compute and copy
-  // streams resume only after it completes.
-  Event flush_d2h(std::uint64_t bytes);
+  // Schedules a d2h flush of `bytes` in `pages` bus transactions (the caller
+  // already performed the copies and bus metering) as one barrier command
+  // priced pages × latency + bytes / bandwidth. Flushes halt computation
+  // (§IV-C): the transfer waits for all queued compute, and both the
+  // compute and copy streams resume only after it completes. Under fault
+  // injection each page draws once, as its own transfer would; a failed
+  // draw re-sends the canonical share bytes / pages (DESIGN.md §5c).
+  Event flush_d2h(std::uint64_t bytes, std::uint64_t pages = 1);
 
   // Simulated makespan so far: end of the last scheduled command.
   [[nodiscard]] double sim_elapsed() const noexcept {

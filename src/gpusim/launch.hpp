@@ -102,35 +102,35 @@ void run_serial(RunStats& stats, Body&& body) {
   body();
 }
 
-// A spinlock in device memory (stands in for a CUDA atomicCAS lock). The
-// acquire is counted so the cost model can price contention: the paper
-// attributes Word Count's poor GPU showing to exactly this ("suffers from
-// lock contention when accessing buckets", §VI-B).
+// A spinlock in device memory (stands in for a CUDA atomicCAS lock). Every
+// acquire is counted (lock_acquires). How long a waiter spins is a host
+// scheduling outcome, so it is not metered: contention is priced from
+// per-bucket access counts by serialization_time (cost_model.hpp), the
+// paper's Word Count effect ("suffers from lock contention when accessing
+// buckets", §VI-B). The lock keeps a host-side tally of acquires that found
+// it held, for tests and diagnostics; it never reaches RunStats.
 class DeviceLock {
  public:
   void lock(RunStats& stats) noexcept {
     stats.add_lock_acquires();
     if (flag_.exchange(1, std::memory_order_acquire) == 0) return;
-    stats.add_lock_contended();
+    contended_.fetch_add(1, std::memory_order_relaxed);
     // Test-and-test-and-set with bounded exponential backoff. The raw
     // exchange loop livelock-spins when grid_threads far exceeds the host
     // pool: the holder's OS thread can be descheduled while waiters burn
     // its core. Backoff spins read-only (no cache-line ping-pong) and
     // yields once saturated so the holder gets scheduled.
-    std::uint64_t retries = 0;
     std::uint32_t backoff = 1;
     constexpr std::uint32_t kMaxBackoff = 1024;
     for (;;) {
       for (std::uint32_t i = 0; i < backoff; ++i)
         if (flag_.load(std::memory_order_relaxed) == 0) break;
       if (flag_.exchange(1, std::memory_order_acquire) == 0) break;
-      ++retries;
       if (backoff < kMaxBackoff)
         backoff <<= 1;
       else
         std::this_thread::yield();
     }
-    stats.add_atomic_retries(retries);
   }
 
   void unlock() noexcept { flag_.store(0, std::memory_order_release); }
@@ -139,8 +139,14 @@ class DeviceLock {
     return flag_.exchange(1, std::memory_order_acquire) == 0;
   }
 
+  // Acquires so far that found the lock held (host-side; not simulated).
+  [[nodiscard]] std::uint32_t contended_acquires() const noexcept {
+    return contended_.load(std::memory_order_relaxed);
+  }
+
  private:
   std::atomic<std::uint32_t> flag_{0};
+  std::atomic<std::uint32_t> contended_{0};
 };
 
 // RAII guard for DeviceLock.
@@ -163,6 +169,12 @@ class DeviceLockGuard {
 struct alignas(kCacheLineBytes) PaddedBucketLock {
   DeviceLock lock;
   std::uint32_t accesses = 0;  // bumped under `lock`, read when quiescent
+  // Chain-order bookkeeping for a table that keeps it, guarded by `lock`
+  // (core::BucketChainStore: the first `fresh` entries of the bucket's
+  // device chain were prepended during launch `fresh_epoch`). It shares
+  // the lock's line, so tracking it costs no extra cache line per insert.
+  std::uint32_t fresh = 0;
+  std::uint64_t fresh_epoch = 0;
 };
 
 // Per-bucket access totals, used by the cost model's lock-serialization

@@ -65,9 +65,9 @@ Event Stream::h2d(std::uint64_t bytes) {
               tl_->price_copy(bytes, 1), bytes, 0);
 }
 
-Event Stream::d2h_flush(std::uint64_t bytes) {
+Event Stream::d2h_flush(std::uint64_t bytes, std::uint64_t txns) {
   return push(TimelineCommandKind::kD2hFlush, TimelineResource::kCopyD2h,
-              tl_->price_copy(bytes, 1), bytes, 0);
+              tl_->price_copy(bytes, txns), bytes, txns);
 }
 
 Event Stream::kernel(const StatsSnapshot& delta, std::size_t n_items) {

@@ -155,7 +155,7 @@ class Stream {
   [[nodiscard]] Event record() const noexcept { return {cursor_}; }
 
   Event h2d(std::uint64_t bytes);
-  Event d2h_flush(std::uint64_t bytes);
+  Event d2h_flush(std::uint64_t bytes, std::uint64_t txns = 1);
   Event kernel(const StatsSnapshot& delta, std::size_t n_items);
   Event remote(std::uint64_t bytes, std::uint64_t txns);
 

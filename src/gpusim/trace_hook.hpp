@@ -59,8 +59,8 @@ struct TimelineCommand {
   TimelineResource resource = TimelineResource::kCompute;
   double start = 0;  // simulated seconds
   double end = 0;    // simulated seconds
-  // kKernel: items / work units. Copies: bytes / 0. kRemoteAccess:
-  // bytes / transactions.
+  // kKernel: items / work units. kH2dCopy: bytes / 0. kD2hFlush and
+  // kRemoteAccess: bytes / transactions.
   std::uint64_t arg0 = 0, arg1 = 0;
 };
 
@@ -77,8 +77,8 @@ class TraceHook {
   virtual void on_remote(std::uint64_t bytes) = 0;
 
   // A heap flush (SepoHashTable::flush_pages) completed; its page-level d2h
-  // transfers were already reported through on_d2h and scheduled as
-  // kD2hFlush timeline commands.
+  // transfers were already reported through on_d2h and scheduled as one
+  // kD2hFlush timeline command.
   virtual void on_flush(std::uint64_t pages, std::uint64_t bytes) = 0;
 
   // SEPO iteration boundaries (SepoDriver).

@@ -153,8 +153,8 @@ TEST(EngineCrossValidationTest, CapacitySweepAgreesOrDeclinesTyped) {
 // party every counter is a pure function of the input. The constants were
 // recorded from the separate CPU and pinned table implementations this table
 // replaced, so a mismatch means the simulated cost of a baseline changed.
-// lock_contended and atomic_retries depend on thread scheduling and are left
-// out (both are 0 at one worker).
+// lock_contended and atomic_retries are left out: no simulated event feeds
+// them, so both always read 0.
 struct BaselineFixture {
   const char* app;
   const char* engine;
@@ -254,7 +254,7 @@ TEST(BaselineCounterIdentityTest, MatchesRecordedCounters) {
 // the input and the party count. The cpu baseline's parties share one
 // table, so its probe counters depend on which party inserts a key first;
 // the fields below do not. lock_contended and atomic_retries are left out
-// of both (they meter real host spins).
+// of both (no simulated event feeds them; they always read 0).
 RunResult run_baseline(const char* app_key, const char* engine,
                        std::size_t pool_workers) {
   const AppInfo& app = *find_app(app_key);

@@ -6,6 +6,7 @@
 // typed RunError.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -212,7 +213,7 @@ TEST(FaultExecTest, KernelAbortsArePricedAndRetried) {
   cfg.kernel_abort_rate = 0.5;
   FaultInjector inj(cfg);
   rig.ctx.set_faults(&inj);
-  std::uint64_t executed = 0;
+  std::atomic<std::uint64_t> executed{0};  // bumped by every pool worker
   for (int i = 0; i < 24; ++i)
     (void)rig.ctx.launch(8, [&](std::size_t) { ++executed; });
   // Every launch eventually executed exactly once despite aborts.

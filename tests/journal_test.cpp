@@ -113,7 +113,7 @@ TEST(JournalTest, JsonlDumpRoundTrips) {
   j.set_now(0.75);
   j.record(JournalEventKind::kFlushBarrier, 0, 4096);
 
-  const std::string path = testing::TempDir() + "journal_roundtrip.jsonl";
+  const std::string path = test::temp_path("journal_roundtrip.jsonl");
   std::string err;
   ASSERT_TRUE(obs::write_journal_jsonl(j, path, 4096, &err)) << err;
   const auto back = obs::read_journal_jsonl(path, &err);
@@ -137,7 +137,7 @@ TEST(JournalTest, JsonlDumpHonorsMaxEventsWindow) {
     j.set_now(static_cast<double>(i));
     j.record(JournalEventKind::kPageAcquire, i, 0);
   }
-  const std::string path = testing::TempDir() + "journal_window.jsonl";
+  const std::string path = test::temp_path("journal_window.jsonl");
   std::string err;
   ASSERT_TRUE(obs::write_journal_jsonl(j, path, /*max_events=*/2, &err))
       << err;
@@ -151,7 +151,7 @@ TEST(JournalTest, JsonlDumpHonorsMaxEventsWindow) {
 }
 
 TEST(JournalTest, ReadRejectsMalformedLines) {
-  const std::string path = testing::TempDir() + "journal_bad.jsonl";
+  const std::string path = test::temp_path("journal_bad.jsonl");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs("{\"ts\": 0.1, \"kind\": \"page_acquire\"}\n", f);

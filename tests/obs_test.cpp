@@ -314,9 +314,10 @@ TEST_F(TracedRun, H2dStagingOverlapsComputeInTrace) {
 
 TEST(MetricsDeterminism, IdenticalRunsExportBitIdenticalJson) {
   // Two identical runs must serialize to byte-identical metrics JSON.
-  // pool_workers=1 pins the host interleaving (lock_contended and
-  // atomic_retries are scheduling-dependent with more workers); the host
-  // wall clock is zeroed as the one intentionally host-dependent field.
+  // pool_workers=1 pins the host interleaving, which a run that postpones
+  // records would still depend on (which allocation fails first follows
+  // arrival order); the host wall clock is zeroed as the one intentionally
+  // host-dependent field.
   auto run_once = [] {
     const auto& app = apps::word_count_app();
     const std::string input = app.generate(128u << 10, 13);

@@ -9,6 +9,9 @@
 #include <string>
 #include <string_view>
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
@@ -27,6 +30,14 @@ struct Rig {
   gpusim::RunStats stats;
   gpusim::ExecContext ctx{dev, pool, stats};
 };
+
+// A scratch file path under the test temp directory, unique to this process:
+// ctest runs sepo_tests and its filtered sepo_sanitize_core entry at the same
+// time, and the two must never write the same file.
+inline std::string temp_path(std::string_view name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" +
+         std::string(name);
+}
 
 inline std::span<const std::byte> bytes_of(const std::uint64_t& v) {
   return std::as_bytes(std::span{&v, 1});

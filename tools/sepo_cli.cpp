@@ -678,6 +678,15 @@ int cmd_metrics_check(const std::string& path) {
   return 0;
 }
 
+// A run's identity across two metrics files: app/impl, plus the dataset for
+// sweeps that hold several input sizes per pair (fig6_speedup writes four).
+std::string run_key(const obs::Json& r) {
+  std::string k = r["app"].as_string() + "/" + r["impl"].as_string();
+  if (r["dataset"].is_number())
+    k += "/d" + std::to_string(r["dataset"].as_i64());
+  return k;
+}
+
 int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
                      double max_regress_pct) {
   const auto older = load_metrics(old_path);
@@ -696,18 +705,15 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     return 2;
   }
 
-  // Baseline run objects by (app, impl); first occurrence wins.
+  // Baseline run objects by run_key; first occurrence wins.
   std::map<std::string, const obs::Json*> base;
-  for (const auto& r : (*older)["runs"].elements()) {
-    const std::string k = r["app"].as_string() + "/" + r["impl"].as_string();
-    base.emplace(k, &r);
-  }
+  for (const auto& r : (*older)["runs"].elements()) base.emplace(run_key(r), &r);
 
   TablePrinter table({"run", "old sim_ms", "new sim_ms", "delta %"});
   bool regressed = false;
   std::size_t matched = 0;
   for (const auto& r : (*newer)["runs"].elements()) {
-    const std::string k = r["app"].as_string() + "/" + r["impl"].as_string();
+    const std::string k = run_key(r);
     const auto it = base.find(k);
     if (it == base.end()) {
       table.add_row({k, "-", TablePrinter::fmt(r["sim_seconds"].as_double() * 1e3, 3),
@@ -749,7 +755,7 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
   }
   table.print(std::cout);
   if (matched == 0) {
-    std::fprintf(stderr, "no (app, impl) pairs in common\n");
+    std::fprintf(stderr, "no runs in common\n");
     return 2;
   }
   if (regressed) {
