@@ -31,10 +31,31 @@ Allocation BucketGroupAllocator::alloc(std::uint32_t group, PageClass cls,
   }
 
   Slot& s = slot(group, cls);
-  gpusim::DeviceLockGuard guard(s.lock, stats);
-
-  std::uint32_t page = s.page;
   const auto page_size = static_cast<std::uint32_t>(pool_.page_size());
+
+  // Dry-pool failure without the slot lock. Within a kernel launch no page
+  // returns to the pool (flushes, pressure releases and postpone resets all
+  // run between launches) and a page's bump offset only grows. So once the
+  // pool is seen dry, no slot can install another page (that takes a
+  // successful acquire), and an active page that cannot fit the request
+  // never will: the locked path would fail too. The lock must be seen free,
+  // because a holder may have taken the last page without installing it
+  // yet; a free lock (an acquire load) shows the page its last holder
+  // installed. The failure is charged exactly as the locked path's.
+  if (pool_.dry() && !s.lock.held()) {
+    const std::uint32_t page = s.page.load(std::memory_order_relaxed);
+    if (page == kInvalidPage ||
+        pool_.meta(page).used.load(std::memory_order_relaxed) + bytes >
+            page_size) {
+      stats.add_lock_acquires();
+      mark_postponed(group);
+      stats.add_alloc_fails();
+      return {};
+    }
+  }
+
+  gpusim::DeviceLockGuard guard(s.lock, stats);
+  const std::uint32_t page = s.page.load(std::memory_order_relaxed);
 
   if (page != kInvalidPage) {
     auto& m = pool_.meta(page);
@@ -59,7 +80,7 @@ Allocation BucketGroupAllocator::alloc(std::uint32_t group, PageClass cls,
   m.owner_group = group;
   m.host_slot.store(host_heap_.reserve_slot(), std::memory_order_relaxed);
   m.used.store(bytes, std::memory_order_relaxed);
-  s.page = fresh;
+  s.page.store(fresh, std::memory_order_relaxed);
   const std::uint64_t slot_id = m.host_slot.load(std::memory_order_relaxed);
   return {pool_.page_base(fresh), host_heap_.addr(slot_id, 0), fresh};
 }
@@ -81,21 +102,18 @@ void BucketGroupAllocator::reset_postponed() noexcept {
 
 void BucketGroupAllocator::detach_active_pages(std::vector<std::uint32_t>& out) {
   for (auto& s : slots_) {
-    if (s.page != kInvalidPage) {
-      out.push_back(s.page);
-      s.page = kInvalidPage;
-    }
+    const std::uint32_t page = s.page.exchange(kInvalidPage,
+                                               std::memory_order_relaxed);
+    if (page != kInvalidPage) out.push_back(page);
   }
 }
 
 void BucketGroupAllocator::detach_active_pages(PageClass cls,
                                                std::vector<std::uint32_t>& out) {
   for (std::uint32_t g = 0; g < num_groups_; ++g) {
-    Slot& s = slot(g, cls);
-    if (s.page != kInvalidPage) {
-      out.push_back(s.page);
-      s.page = kInvalidPage;
-    }
+    const std::uint32_t page =
+        slot(g, cls).page.exchange(kInvalidPage, std::memory_order_relaxed);
+    if (page != kInvalidPage) out.push_back(page);
   }
 }
 

@@ -43,7 +43,8 @@ class BucketGroupAllocator {
 
   // Allocates `bytes` (8-byte aligned, must fit in a page) for `group` from
   // a page of class `cls`. On failure returns a null Allocation and marks
-  // the group as postponing.
+  // the group as postponing. A request that must fail because the pool is
+  // dry fails without taking the slot lock, charged as if it had.
   Allocation alloc(std::uint32_t group, PageClass cls, std::uint32_t bytes,
                    gpusim::RunStats& stats) noexcept;
 
@@ -76,7 +77,9 @@ class BucketGroupAllocator {
  private:
   struct Slot {
     gpusim::DeviceLock lock;
-    std::uint32_t page = kInvalidPage;
+    // Written under `lock` (or between launches); read without it by the
+    // dry-pool fast failure in alloc().
+    std::atomic<std::uint32_t> page{kInvalidPage};
   };
 
   [[nodiscard]] Slot& slot(std::uint32_t group, PageClass cls) noexcept {

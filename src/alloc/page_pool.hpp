@@ -56,6 +56,15 @@ class PagePool {
   // false), counted in `stats` when provided.
   bool release(std::uint32_t page, gpusim::RunStats* stats = nullptr) noexcept;
 
+  // True when no page is free. An acquire load of the free stack's head, so
+  // a caller that sees the pool dry also sees everything that happened
+  // before each acquire that emptied it (BucketGroupAllocator::alloc's
+  // lock-free failure relies on this).
+  [[nodiscard]] bool dry() const noexcept {
+    return static_cast<std::uint32_t>(head_.load(std::memory_order_acquire)) ==
+           kInvalidPage;
+  }
+
   [[nodiscard]] std::uint32_t free_count() const noexcept {
     return free_count_.load(std::memory_order_relaxed);
   }

@@ -21,12 +21,19 @@ PassResult InputPipeline::run_pass(std::string_view input,
                                    const RecordIndex& index,
                                    ProgressTracker& progress,
                                    const TaskFn& task,
-                                   const std::function<bool()>& halted) {
+                                   const std::function<bool()>& halted,
+                                   const PrefetchFn& prefetch) {
   PassResult result;
   const std::size_t n = index.size();
   assert(progress.num_tasks() == n);
   gpusim::Device& dev = ctx_.device();
   gpusim::RunStats& stats = ctx_.stats();
+  // Warms record `rec`'s retry target, if it has one (see PrefetchFn).
+  const auto warm = [&](std::size_t rec, PrefetchStage stage) {
+    if (progress.is_done(rec)) return;
+    if (const std::uint32_t hint = progress.retry_hint(rec); hint != 0)
+      prefetch(stage, hint);
+  };
 
   std::size_t ring = 0;
   for (std::size_t lo = 0; lo < n; lo += cfg_.records_per_chunk) {
@@ -63,6 +70,12 @@ PassResult InputPipeline::run_pass(std::string_view input,
         hi - lo,
         [&](std::size_t i) {
           const std::size_t rec = lo + i;
+          if (prefetch) {
+            if (rec + kPrefetchLineAhead < hi)
+              warm(rec + kPrefetchLineAhead, PrefetchStage::kBucketLine);
+            if (rec + kPrefetchHeadAhead < hi)
+              warm(rec + kPrefetchHeadAhead, PrefetchStage::kChainHead);
+          }
           stats.add_records_scanned();
           if (progress.is_done(rec)) return;
           if (halted && halted()) return;

@@ -43,6 +43,18 @@ struct PipelineConfig {
 using TaskFn = std::function<core::Status(std::size_t rec_id,
                                           std::string_view body)>;
 
+// Retry prefetch (DESIGN.md §5a): before a kernel runs record r it asks the
+// table to warm what a postponed record's re-execution touches first — for
+// record r + kPrefetchLineAhead the bucket line its retry hint names, and
+// for record r + kPrefetchHeadAhead (whose line is cached by then) the head
+// entry of that bucket's chain. Only records that are not done and carry a
+// hint (ProgressTracker::retry_hint) are prefetched.
+enum class PrefetchStage { kBucketLine, kChainHead };
+inline constexpr std::size_t kPrefetchLineAhead = 8;
+inline constexpr std::size_t kPrefetchHeadAhead = 4;
+// Must touch no simulated state: counters, journal, locks or table data.
+using PrefetchFn = std::function<void(PrefetchStage, std::uint32_t hint)>;
+
 struct PassResult : StagingTotals {
   bool halted = false;
 };
@@ -58,9 +70,12 @@ class InputPipeline {
   // stages pending chunks and runs `task` on each pending record; marks
   // records done on SUCCESS. `halted` is polled between records; when it
   // returns true the pass stops issuing new tasks (Figure 5 (a)).
+  // `prefetch`, when set, warms the host cache for records ahead of the one
+  // running (see PrefetchFn); results and RunStats do not depend on it.
   PassResult run_pass(std::string_view input, const RecordIndex& index,
                       ProgressTracker& progress, const TaskFn& task,
-                      const std::function<bool()>& halted = {});
+                      const std::function<bool()>& halted = {},
+                      const PrefetchFn& prefetch = {});
 
   [[nodiscard]] const PipelineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] gpusim::ExecContext& ctx() noexcept { return ctx_; }

@@ -7,6 +7,12 @@
 // per-record resume counter remembers how many leading emissions already
 // succeeded so re-execution (the SEPO re-issue) skips them instead of
 // double-inserting. See DESIGN.md §2 (mapreduce).
+//
+// The same per-record slot keeps a retry hint: the low 32 bits of the hash
+// of the key whose insert postponed the record. A re-execution's first
+// insert is exactly that emission, so the pipeline can warm its bucket
+// before the record runs again (DESIGN.md §5a). 0 means "no hint"; a key
+// whose hash has 32 low zero bits simply goes without one.
 #pragma once
 
 #include <atomic>
@@ -29,9 +35,9 @@ class ProgressTracker {
     done_.reset(num_tasks);
     multi_emit_ = multi_emit;
     if (multi_emit) {
-      resume_.assign(num_tasks, Counter{});
+      slots_.assign(num_tasks, Slot{});
     } else {
-      resume_.clear();
+      slots_.clear();
     }
   }
 
@@ -46,7 +52,8 @@ class ProgressTracker {
 
   // How many leading emissions of `task` have already been accepted.
   [[nodiscard]] std::uint32_t resume_point(std::size_t task) const noexcept {
-    return multi_emit_ ? resume_[task].v.load(std::memory_order_acquire) : 0;
+    return multi_emit_ ? slots_[task].resume.load(std::memory_order_acquire)
+                       : 0;
   }
 
   // Records that emission index `idx` of `task` succeeded. Emissions succeed
@@ -55,7 +62,23 @@ class ProgressTracker {
   // writes its counter.
   void advance(std::size_t task, std::uint32_t idx) noexcept {
     if (multi_emit_)
-      resume_[task].v.store(idx + 1, std::memory_order_release);
+      slots_[task].resume.store(idx + 1, std::memory_order_release);
+  }
+
+  // The retry hint of `task` (see above); 0 when it has none. Trackers
+  // without resume slots (multi_emit == false) keep no hints.
+  [[nodiscard]] std::uint32_t retry_hint(std::size_t task) const noexcept {
+    return multi_emit_ ? slots_[task].hint.load(std::memory_order_relaxed)
+                       : 0;
+  }
+
+  // Records that `task` postponed on an insert of a key with hash `hash`.
+  // Written only by the virtual thread executing the task; read by the
+  // prefetcher of other tasks, for which any value is harmless.
+  void set_retry_hint(std::size_t task, std::uint64_t hash) noexcept {
+    if (multi_emit_)
+      slots_[task].hint.store(static_cast<std::uint32_t>(hash),
+                               std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::size_t done_count() const noexcept { return done_.count(); }
@@ -68,18 +91,24 @@ class ProgressTracker {
   [[nodiscard]] const AtomicBitmap& bitmap() const noexcept { return done_; }
 
  private:
-  struct Counter {
-    std::atomic<std::uint32_t> v{0};
-    Counter() = default;
-    Counter(const Counter& o) : v(o.v.load(std::memory_order_relaxed)) {}
-    Counter& operator=(const Counter& o) {
-      v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  struct Slot {
+    std::atomic<std::uint32_t> resume{0};
+    std::atomic<std::uint32_t> hint{0};
+    Slot() = default;
+    Slot(const Slot& o)
+        : resume(o.resume.load(std::memory_order_relaxed)),
+          hint(o.hint.load(std::memory_order_relaxed)) {}
+    Slot& operator=(const Slot& o) {
+      resume.store(o.resume.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+      hint.store(o.hint.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
       return *this;
     }
   };
 
   AtomicBitmap done_;
-  std::vector<Counter> resume_;
+  std::vector<Slot> slots_;
   bool multi_emit_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/hashing.hpp"
+#include "common/prefetch.hpp"
 #include "gpusim/trace_hook.hpp"
 
 namespace sepo::core {
@@ -32,14 +33,12 @@ BucketChainStore::BucketChainStore(gpusim::ExecContext& ctx,
 
   // The bucket array and its locks live in device memory: reserve their
   // footprint there so the heap gets only what genuinely remains (§IV-A).
-  // Charged at the compact device layout (bucket + 4-byte lock word), NOT at
-  // sizeof(PaddedBucketLock): the cache-line padding is a host-side
-  // anti-false-sharing measure and must not shrink the simulated heap.
-  const std::size_t bucket_bytes =
-      static_cast<std::size_t>(cfg_.num_buckets) * (sizeof(Bucket) + 4);
-  dev_.alloc_static(bucket_bytes);
-  buckets_ = std::vector<Bucket>(cfg_.num_buckets);
-  bucket_locks_ = std::vector<gpusim::PaddedBucketLock>(cfg_.num_buckets);
+  // Charged at the compact device layout (kBucketDeviceBytes), NOT at
+  // sizeof(BucketLine): the line's padding and host-side bookkeeping must
+  // not shrink the simulated heap.
+  dev_.alloc_static(static_cast<std::size_t>(cfg_.num_buckets) *
+                    kBucketDeviceBytes);
+  lines_ = std::vector<BucketLine>(cfg_.num_buckets);
 
   const std::size_t heap_bytes =
       cfg_.heap_bytes == 0 ? dev_.mem_free() : cfg_.heap_bytes;
@@ -70,11 +69,10 @@ template <typename Entry>
 void BucketChainStore::sort_fresh(std::uint32_t b) {
   // The earlier launch's prepends sit at the head in arrival order: relink
   // them in key order, still ahead of every entry from before that launch.
-  gpusim::PaddedBucketLock& line = bucket_locks_[b];
-  Bucket& bucket = buckets_[b];
+  BucketLine& line = lines_[b];
   thread_local std::vector<DevPtr> group;
   group.clear();
-  DevPtr rest = bucket.head_dev.load(std::memory_order_relaxed);
+  DevPtr rest = line.head_dev.load(std::memory_order_relaxed);
   for (std::uint32_t n = line.fresh; n > 0 && rest != gpusim::kDevNull; --n) {
     group.push_back(rest);
     rest = dev_.ptr<Entry>(rest)->next_dev;
@@ -87,18 +85,18 @@ void BucketChainStore::sort_fresh(std::uint32_t b) {
     dev_.ptr<Entry>(*it)->next_dev = rest;
     rest = *it;
   }
-  bucket.head_dev.store(rest, std::memory_order_relaxed);
+  line.head_dev.store(rest, std::memory_order_relaxed);
   line.fresh = 0;
 }
 
 template <typename Entry>
 DevPtr BucketChainStore::probe(std::uint32_t b, std::string_view key,
                                ProbeCost& cost) {
-  const gpusim::PaddedBucketLock& line = bucket_locks_[b];
+  const BucketLine& line = lines_[b];
   if (line.fresh > 0 && line.fresh_epoch != stats_.launch_epoch())
     sort_fresh<Entry>(b);
   const std::uint64_t key_len = key.size();
-  DevPtr p = buckets_[b].head_dev.load(std::memory_order_relaxed);
+  DevPtr p = line.head_dev.load(std::memory_order_relaxed);
 
   // This launch's prepends sit at the head: a hit on one is a head hit,
   // and only a miss pays for walking them.
@@ -149,10 +147,9 @@ void BucketChainStore::prepend(std::uint32_t b, DevPtr dev, HostPtr host) {
 template <typename Entry>
 void BucketChainStore::prepend_as(std::uint32_t b, DevPtr dev, HostPtr host) {
   link_head<Entry>(b, dev);
-  auto* e = dev_.ptr<Entry>(dev);
-  Bucket& bucket = buckets_[b];
-  e->next_host = bucket.head_host;
-  bucket.head_host = host;
+  BucketLine& line = lines_[b];
+  dev_.ptr<Entry>(dev)->next_host = line.head_host;
+  line.head_host = host;
 }
 
 void BucketChainStore::relink_resident(std::uint32_t b, DevPtr dev) {
@@ -161,23 +158,32 @@ void BucketChainStore::relink_resident(std::uint32_t b, DevPtr dev) {
 
 template <typename Entry>
 void BucketChainStore::link_head(std::uint32_t b, DevPtr dev) {
-  gpusim::PaddedBucketLock& line = bucket_locks_[b];
+  BucketLine& line = lines_[b];
   const std::uint64_t epoch = stats_.launch_epoch();
   if (line.fresh_epoch != epoch) {
     if (line.fresh > 0) sort_fresh<Entry>(b);
     line.fresh_epoch = epoch;
   }
   ++line.fresh;
-  Bucket& bucket = buckets_[b];
-  dev_.ptr<Entry>(dev)->next_dev =
-      bucket.head_dev.load(std::memory_order_relaxed);
-  bucket.head_dev.store(dev, std::memory_order_release);
+  dev_.ptr<Entry>(dev)->next_dev = line.head_dev.load(std::memory_order_relaxed);
+  line.head_dev.store(dev, std::memory_order_release);
+}
+
+void BucketChainStore::prefetch_line(std::uint32_t b) const noexcept {
+  prefetch_for_write(&lines_[b]);
+}
+
+void BucketChainStore::prefetch_chain_head(std::uint32_t b) const noexcept {
+  // A relaxed read without the lock: a stale head only warms the wrong line.
+  const DevPtr head = lines_[b].head_dev.load(std::memory_order_relaxed);
+  if (head != gpusim::kDevNull) prefetch_for_read(dev_.ptr(head));
 }
 
 void BucketChainStore::clear_device_chains() {
-  for (Bucket& b : buckets_)
-    b.head_dev.store(gpusim::kDevNull, std::memory_order_relaxed);
-  for (gpusim::PaddedBucketLock& line : bucket_locks_) line.fresh = 0;
+  for (BucketLine& line : lines_) {
+    line.head_dev.store(gpusim::kDevNull, std::memory_order_relaxed);
+    line.fresh = 0;
+  }
 }
 
 void BucketChainStore::flush_pages(const std::vector<std::uint32_t>& pages) {
@@ -205,11 +211,10 @@ void BucketChainStore::flush_pages(const std::vector<std::uint32_t>& pages) {
 }
 
 std::vector<HostPtr> BucketChainStore::take_host_heads() {
-  std::vector<HostPtr> heads(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i)
-    heads[i] = buckets_[i].head_host;
-  dev_.bus().d2h(buckets_.size() * sizeof(HostPtr));
-  ctx_.flush_d2h(buckets_.size() * sizeof(HostPtr));
+  std::vector<HostPtr> heads(lines_.size());
+  for (std::size_t i = 0; i < lines_.size(); ++i) heads[i] = lines_[i].head_host;
+  dev_.bus().d2h(lines_.size() * sizeof(HostPtr));
+  ctx_.flush_d2h(lines_.size() * sizeof(HostPtr));
   return heads;
 }
 

@@ -64,15 +64,33 @@ struct HashTableStats {
 
 class BucketChainStore {
  public:
-  // Device chain order (DESIGN.md §5d "Probe charge"): the first
-  // `PaddedBucketLock::fresh` entries of a bucket's device chain were
-  // prepended during launch `fresh_epoch`, in arrival order; the entries
-  // after them are in canonical order — by the launch that prepended them,
-  // newest first, and by key within one launch.
-  struct Bucket {
+  // Everything an insert touches in one bucket before it reaches the chain,
+  // on one private cache line: the lock, the access tally, the chain-order
+  // bookkeeping and both chain heads. An insert therefore misses on one
+  // line, not on a lock line and a separate head array, and neighbouring
+  // buckets never false-share. Every field but the lock is guarded by it.
+  //
+  // Device chain order (DESIGN.md §5d "Probe charge"): the first `fresh`
+  // entries of the device chain were prepended during launch `fresh_epoch`,
+  // in arrival order; the entries after them are in canonical order — by
+  // the launch that prepended them, newest first, and by key within one
+  // launch.
+  struct alignas(gpusim::kCacheLineBytes) BucketLine {
+    gpusim::DeviceLock lock;
+    std::uint32_t accesses = 0;  // read when quiescent (bucket_load)
+    std::uint32_t fresh = 0;
+    std::uint64_t fresh_epoch = 0;
+    // Atomic: the prefetcher reads it without the lock.
     std::atomic<DevPtr> head_dev{gpusim::kDevNull};
-    HostPtr head_host = alloc::kHostNull;  // guarded by the bucket lock
+    HostPtr head_host = alloc::kHostNull;
   };
+
+  // Device memory one bucket is charged: its two chain heads and a 4-byte
+  // lock word. The rest of BucketLine (tally, chain-order bookkeeping,
+  // padding) is host-side simulator state, so the simulated heap does not
+  // shrink for it.
+  static constexpr std::size_t kBucketDeviceBytes =
+      sizeof(DevPtr) + sizeof(HostPtr) + 4;
 
   BucketChainStore(gpusim::ExecContext& ctx, HashTableConfig cfg);
 
@@ -94,13 +112,20 @@ class BucketChainStore {
     return bucket / cfg_.buckets_per_group;
   }
 
-  [[nodiscard]] Bucket& bucket(std::uint32_t b) noexcept { return buckets_[b]; }
-  [[nodiscard]] const Bucket& bucket(std::uint32_t b) const noexcept {
-    return buckets_[b];
+  [[nodiscard]] BucketLine& line(std::uint32_t b) noexcept { return lines_[b]; }
+  [[nodiscard]] const BucketLine& line(std::uint32_t b) const noexcept {
+    return lines_[b];
   }
-  [[nodiscard]] gpusim::PaddedBucketLock& lock(std::uint32_t b) noexcept {
-    return bucket_locks_[b];
-  }
+
+  // Host-side cache warming for an insert that will land in bucket `b`
+  // (SepoHashTable::prefetch_bucket_line, prefetch_chain_head). Neither
+  // touches RunStats, a lock or any table state, so simulated results
+  // cannot depend on them.
+  // Fetches the bucket's line with write intent (the insert takes its lock).
+  void prefetch_line(std::uint32_t b) const noexcept;
+  // Reads the device chain head from the bucket's line (fetched earlier by
+  // prefetch_line) and fetches the head entry, where every probe starts.
+  void prefetch_chain_head(std::uint32_t b) const noexcept;
 
   // Probe work charged for one chain lookup. The batched drain records it
   // per distinct key so that repeat probes cost what the first one did.
@@ -176,7 +201,7 @@ class BucketChainStore {
   [[nodiscard]] std::vector<HostPtr> take_host_heads();
 
   [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
-    return gpusim::bucket_load(bucket_locks_);
+    return gpusim::bucket_load(lines_);
   }
   [[nodiscard]] HashTableStats table_stats() const noexcept;
 
@@ -221,12 +246,7 @@ class BucketChainStore {
   std::unique_ptr<alloc::HostHeap> host_heap_;
   std::unique_ptr<alloc::BucketGroupAllocator> allocator_;
 
-  std::vector<Bucket> buckets_;
-  // Lock + access tally per bucket, each on its own cache line
-  // (gpusim::PaddedBucketLock) so concurrent inserts to *different* buckets
-  // never false-share. Device-memory accounting still charges the compact
-  // lock+counter footprint (see the ctor) — the padding is host-only.
-  std::vector<gpusim::PaddedBucketLock> bucket_locks_;
+  std::vector<BucketLine> lines_;
 
   std::uint64_t flushed_bytes_ = 0;
   std::uint64_t flush_pages_ = 0;

@@ -34,13 +34,13 @@ SepoHashTable::~SepoHashTable() {
   if (!buffers_.empty()) ctx_.set_launch_epilogue({});
 }
 
-Status SepoHashTable::insert(std::string_view key,
+Status SepoHashTable::insert(std::uint64_t h, std::string_view key,
                              std::span<const std::byte> value) {
   assert(!finalized_);
-  stats_.add_hash_ops();
+  assert(h == hash_key(key));
   // Hash memoization: one FNV-1a/avalanche per record, threaded through
   // bucket selection, the scratch probe, and the eventual drain.
-  const std::uint64_t h = hash_key(key);
+  stats_.add_hash_ops();
   const std::uint32_t b = store_.bucket_of(h);
   if (buffers_.empty()) return policy_->insert(store_, b, key, value);
   CombineBuffer& buf = worker_buffer();
@@ -229,7 +229,7 @@ std::vector<std::uint64_t> SepoHashTable::resident_chain_histogram(
   std::vector<std::uint64_t> hist(max_len + 1, 0);
   for (std::uint32_t i = 0; i < store_.num_buckets(); ++i) {
     std::size_t len = 0;
-    for (DevPtr p = store_.bucket(i).head_dev.load(std::memory_order_relaxed);
+    for (DevPtr p = store_.line(i).head_dev.load(std::memory_order_relaxed);
          p != gpusim::kDevNull; ++len)
       p = policy_->chain_next(store_.device(), p);
     ++hist[std::min(len, max_len)];

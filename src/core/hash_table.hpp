@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hashing.hpp"
 #include "core/bucket_store.hpp"
 #include "core/entry_layout.hpp"
 #include "core/host_table.hpp"
@@ -56,7 +57,15 @@ class SepoHashTable {
   // kSuccess; the table itself owns postponement from then on — a drain
   // that hits kPostpone re-queues the original record and retries it at the
   // next iteration boundary (DESIGN.md §5d).
-  Status insert(std::string_view key, std::span<const std::byte> value);
+  Status insert(std::string_view key, std::span<const std::byte> value) {
+    return insert(hash_key(key), key, value);
+  }
+
+  // Memoized-hash overload for callers that already hashed the key (the
+  // SEPO emitter keeps the hash as a postponed record's retry hint).
+  // `hash` must equal hash_key(key).
+  Status insert(std::uint64_t hash, std::string_view key,
+                std::span<const std::byte> value);
 
   // Convenience for 8-byte values.
   Status insert_u64(std::string_view key, std::uint64_t value) {
@@ -68,6 +77,20 @@ class SepoHashTable {
   // takes no bucket lock, and the probe may reorder the device chain).
   // Used by tests; population-phase apps only insert.
   [[nodiscard]] const KvEntry* find_resident(std::string_view key);
+
+  // ------- retry prefetch (host side, DESIGN.md §5a) -------
+
+  // Warm the host cache for a postponed record's re-execution, whose first
+  // insert hashes to `hint` (the low 32 bits of hash_key;
+  // ProgressTracker::retry_hint): first the bucket's line, then — once that
+  // line is cached — the head entry of its device chain. Neither touches a
+  // counter, a lock or table state; a stale hint only warms the wrong line.
+  void prefetch_bucket_line(std::uint32_t hint) const noexcept {
+    store_.prefetch_line(store_.bucket_of(hint));
+  }
+  void prefetch_chain_head(std::uint32_t hint) const noexcept {
+    store_.prefetch_chain_head(store_.bucket_of(hint));
+  }
 
   // ------- SEPO iteration protocol (host side, Figure 5) -------
 

@@ -66,7 +66,7 @@ void requeue_record(std::vector<RequeuedRecord>& requeue, std::string_view key,
 using DrainCtx = CombineBuffer::DrainScratch;
 
 // The shared bucket-run drain skeleton. Sorts the batch's bucket ids and
-// acquires each distinct bucket's PaddedBucketLock exactly once, in
+// acquires each distinct bucket's lock exactly once, in
 // ascending bucket order — a canonical order, so concurrent drains holding
 // overlapping lock sets cannot deadlock. With every lock held it replays
 // the log in *arrival* order: the global sequence of allocator (and page
@@ -99,7 +99,7 @@ DrainOutcome drain_runs(BucketChainStore& store, CombineBuffer& buf,
   ctx.key_compare_bytes = 0;
 
   for (const std::uint32_t b : ctx.locked)
-    store.lock(b).lock.lock(store.stats());
+    store.line(b).lock.lock(store.stats());
   // Mirror the scalar path's one-acquire-per-record count; the loop above
   // already recorded one real acquire per distinct bucket.
   const std::uint64_t saved = log.size() - n;
@@ -110,13 +110,13 @@ DrainOutcome drain_runs(BucketChainStore& store, CombineBuffer& buf,
     if (process(e, ctx)) ++out.requeued;
 
   for (std::size_t i = 0; i < n; ++i)
-    store.lock(ctx.locked[i]).accesses += ctx.accesses[i];
+    store.line(ctx.locked[i]).accesses += ctx.accesses[i];
   if (ctx.chain_links) store.stats().add_chain_links(ctx.chain_links);
   if (ctx.key_compare_bytes)
     store.stats().add_key_compare_bytes(ctx.key_compare_bytes);
 
   for (auto it = ctx.locked.rbegin(); it != ctx.locked.rend(); ++it)
-    store.lock(*it).lock.unlock();
+    store.line(*it).lock.unlock();
   buf.clear();
   return out;
 }
@@ -127,8 +127,8 @@ class BasicPolicy final : public OrganizationPolicy {
                 std::span<const std::byte> value) override {
     // Duplicate keys are kept as separate entries, so no chain probe is
     // needed — allocate and prepend.
-    gpusim::DeviceLockGuard guard(store.lock(b).lock, store.stats());
-    ++store.lock(b).accesses;
+    gpusim::DeviceLockGuard guard(store.line(b).lock, store.stats());
+    ++store.line(b).accesses;
     return insert_new_kv(store, b, key, value);
   }
 
@@ -142,7 +142,7 @@ class BasicPolicy final : public OrganizationPolicy {
           // access directly.
           (void)ctx;
           const CombineBuffer::Slot& s = slots[e.slot];
-          ++store.lock(s.bucket).accesses;
+          ++store.line(s.bucket).accesses;
           if (insert_new_kv(store, s.bucket, buf.slot_key(s),
                             buf.log_value(e)) != Status::kSuccess) {
             requeue_record(requeue, buf.slot_key(s), buf.log_value(e), s.hash);
@@ -158,8 +158,8 @@ class CombiningPolicy final : public OrganizationPolicy {
   Status insert(BucketChainStore& store, std::uint32_t b, std::string_view key,
                 std::span<const std::byte> value) override {
     const auto val_len = static_cast<std::uint32_t>(value.size());
-    gpusim::DeviceLockGuard guard(store.lock(b).lock, store.stats());
-    ++store.lock(b).accesses;
+    gpusim::DeviceLockGuard guard(store.line(b).lock, store.stats());
+    ++store.line(b).accesses;
     const DevPtr existing = store.find_in_chain(b, key);
     if (existing != gpusim::kDevNull) {
       auto* e = store.device().ptr<KvEntry>(existing);
@@ -234,7 +234,7 @@ class CombiningPolicy final : public OrganizationPolicy {
             requeue_record(requeue, buf.slot_key(s), buf.log_value(e), s.hash);
             return true;
           }
-          s.entry = store.bucket(b).head_dev.load(std::memory_order_relaxed);
+          s.entry = store.line(b).head_dev.load(std::memory_order_relaxed);
           s.depth_links = 1;  // prepended in this launch: a head hit
           s.depth_bytes = s.key_len;
           s.state = 1;
@@ -252,8 +252,8 @@ class MultiValuedPolicy final : public OrganizationPolicy {
     const auto key_len = static_cast<std::uint32_t>(key.size());
     const std::uint32_t g = store.group_of(b);
 
-    gpusim::DeviceLockGuard guard(store.lock(b).lock, store.stats());
-    ++store.lock(b).accesses;
+    gpusim::DeviceLockGuard guard(store.line(b).lock, store.stats());
+    ++store.line(b).accesses;
     DevPtr kp = store.find_key_entry(b, key);
 
     if (kp == gpusim::kDevNull) {
@@ -437,7 +437,7 @@ class MultiValuedPolicy final : public OrganizationPolicy {
         // page must rehash each key once per iteration.
         const std::uint32_t b = store.bucket_of(ke->key());
         ke->vhead_dev = gpusim::kDevNull;  // all value pages were flushed
-        gpusim::DeviceLockGuard guard(store.lock(b).lock, store.stats());
+        gpusim::DeviceLockGuard guard(store.line(b).lock, store.stats());
         store.relink_resident(b, ep);
         store.stats().add_chain_links();
         off += ke->byte_size();

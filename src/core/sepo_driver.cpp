@@ -19,6 +19,18 @@ DriverResult SepoDriver::run(SepoHashTable& ht,
   if (use_halt)
     halted = [&ht, frac = cfg_.basic_halt_frac] { return ht.should_halt(frac); };
 
+  // Re-executed records insert first where their retry hint points: warm
+  // those lines ahead of the kernel (DESIGN.md §5a). With batched inserts
+  // a record's insert lands in a CombineBuffer, not the bucket.
+  bigkernel::PrefetchFn prefetch;
+  if (!ht.batching())
+    prefetch = [&ht](bigkernel::PrefetchStage stage, std::uint32_t hint) {
+      if (stage == bigkernel::PrefetchStage::kBucketLine)
+        ht.prefetch_bucket_line(hint);
+      else
+        ht.prefetch_chain_head(hint);
+    };
+
   gpusim::TraceHook* const hook = ht.run_stats().trace_hook();
   gpusim::EventJournal* const journal = pipe.ctx().journal();
 
@@ -51,7 +63,7 @@ DriverResult SepoDriver::run(SepoHashTable& ht,
     const gpusim::StatsSnapshot stats_before = ht.run_stats().snapshot();
     ht.begin_iteration();
     const bigkernel::PassResult pass =
-        pipe.run_pass(input, index, progress, task, halted);
+        pipe.run_pass(input, index, progress, task, halted, prefetch);
     ht.end_iteration();
 
     static_cast<bigkernel::StagingTotals&>(result) += pass;

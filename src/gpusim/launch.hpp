@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <thread>
 
 #include "gpusim/counters.hpp"
@@ -139,6 +138,12 @@ class DeviceLock {
     return flag_.exchange(1, std::memory_order_acquire) == 0;
   }
 
+  // Whether some thread holds the lock right now. An acquire load: a reader
+  // that sees it free also sees every write its last holder made under it.
+  [[nodiscard]] bool held() const noexcept {
+    return flag_.load(std::memory_order_acquire) != 0;
+  }
+
   // Acquires so far that found the lock held (host-side; not simulated).
   [[nodiscard]] std::uint32_t contended_acquires() const noexcept {
     return contended_.load(std::memory_order_relaxed);
@@ -169,12 +174,6 @@ class DeviceLockGuard {
 struct alignas(kCacheLineBytes) PaddedBucketLock {
   DeviceLock lock;
   std::uint32_t accesses = 0;  // bumped under `lock`, read when quiescent
-  // Chain-order bookkeeping for a table that keeps it, guarded by `lock`
-  // (core::BucketChainStore: the first `fresh` entries of the bucket's
-  // device chain were prepended during launch `fresh_epoch`). It shares
-  // the lock's line, so tracking it costs no extra cache line per insert.
-  std::uint32_t fresh = 0;
-  std::uint64_t fresh_epoch = 0;
 };
 
 // Per-bucket access totals, used by the cost model's lock-serialization
@@ -185,11 +184,12 @@ struct BucketLoad {
   std::uint64_t max_bucket_accesses = 0;
 };
 
-// Tallies a quiescent table's per-bucket access counts.
-[[nodiscard]] inline BucketLoad bucket_load(
-    std::span<const PaddedBucketLock> locks) noexcept {
+// Tallies a quiescent table's per-bucket access counts from its per-bucket
+// lines (PaddedBucketLock, or any line type with an `accesses` tally).
+template <typename Lines>
+[[nodiscard]] BucketLoad bucket_load(const Lines& lines) noexcept {
   BucketLoad load;
-  for (const PaddedBucketLock& pb : locks) {
+  for (const auto& pb : lines) {
     load.total_accesses += pb.accesses;
     load.max_bucket_accesses =
         std::max<std::uint64_t>(load.max_bucket_accesses, pb.accesses);

@@ -7,7 +7,10 @@
 // record stays unprocessed and is re-executed in a later iteration; the
 // resume counter makes the first k-1 (already accepted) emissions no-ops so
 // nothing is double-inserted. Within one execution only the single virtual
-// thread running the record touches its counter.
+// thread running the record touches its counter. A postponed emission also
+// leaves its key's hash as the record's retry hint
+// (ProgressTracker::retry_hint), so the pipeline can prefetch the bucket
+// the re-execution's first insert will take.
 //
 // Batched inserts (--batch-insert): ht_.insert accepts the record at
 // buffer time and returns kSuccess immediately; a drain that later hits
@@ -18,6 +21,7 @@
 // proceed.
 #pragma once
 
+#include "common/hashing.hpp"
 #include "common/progress.hpp"
 #include "core/hash_table.hpp"
 #include "mapreduce/spec.hpp"
@@ -38,11 +42,13 @@ class SepoEmitter final : public Emitter {
       ++idx_;
       return core::Status::kSuccess;
     }
-    if (ht_.insert(key, value) == core::Status::kSuccess) {
+    const std::uint64_t hash = hash_key(key);
+    if (ht_.insert(hash, key, value) == core::Status::kSuccess) {
       progress_.advance(rec_, idx_);
       ++idx_;
       return core::Status::kSuccess;
     }
+    progress_.set_retry_hint(rec_, hash);
     failed_ = true;
     return core::Status::kPostpone;
   }

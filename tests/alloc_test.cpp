@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -302,6 +303,108 @@ TEST(BucketGroupAllocatorTest, DetachReturnsActivePages) {
       r.alloc.alloc(0, PageClass::kGeneric, 64, r.rig.stats);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(std::count(active.begin(), active.end(), again.page), 0);
+}
+
+// The charge of one allocator call: what the locked path records for a
+// request that succeeds (fails == false) or finds the pool dry.
+gpusim::StatsSnapshot alloc_charge(bool fails) {
+  gpusim::StatsSnapshot s;
+  s.alloc_ops = 1;
+  s.lock_acquires = 1;
+  s.alloc_fails = fails ? 1 : 0;
+  return s;
+}
+
+// On a dry pool, a request that cannot be served fails without the slot
+// lock; its counters and postponement mark equal the locked path's. A page
+// that still fits keeps serving.
+TEST(BucketGroupAllocatorTest, DryPoolFastFailureMatchesLockedCharges) {
+  AllocRig r(8, 4, 3);  // 2 pages, 3 groups
+  ASSERT_TRUE(r.alloc.alloc(0, PageClass::kGeneric, 4000, r.rig.stats).ok());
+  ASSERT_TRUE(r.alloc.alloc(1, PageClass::kGeneric, 4000, r.rig.stats).ok());
+  ASSERT_EQ(r.pool.free_count(), 0u);
+
+  const auto call = [&](std::uint32_t group, std::uint32_t bytes,
+                        bool& ok) {
+    const gpusim::StatsSnapshot before = r.rig.stats.snapshot();
+    ok = r.alloc.alloc(group, PageClass::kGeneric, bytes, r.rig.stats).ok();
+    return r.rig.stats.snapshot() - before;
+  };
+  bool ok = true;
+  // No active page.
+  EXPECT_EQ(call(2, 64, ok), alloc_charge(true));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(r.alloc.postponed_groups(), 1u);
+  // An active page that fits: served as before.
+  EXPECT_EQ(call(0, 64, ok), alloc_charge(false));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(r.alloc.postponed_groups(), 1u);
+  // An active page that does not fit.
+  EXPECT_EQ(call(1, 200, ok), alloc_charge(true));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(r.alloc.postponed_groups(), 2u);
+  // Failing again marks no group twice.
+  EXPECT_EQ(call(1, 200, ok), alloc_charge(true));
+  EXPECT_EQ(call(2, 8, ok), alloc_charge(true));
+  EXPECT_EQ(r.alloc.postponed_groups(), 2u);
+  // A page back in the pool is taken again.
+  std::vector<std::uint32_t> pages;
+  r.alloc.detach_active_pages(pages);
+  ASSERT_EQ(pages.size(), 2u);
+  r.pool.release(pages[0]);
+  const gpusim::StatsSnapshot before = r.rig.stats.snapshot();
+  EXPECT_TRUE(r.alloc.alloc(2, PageClass::kGeneric, 64, r.rig.stats).ok());
+  gpusim::StatsSnapshot taken = alloc_charge(false);
+  taken.page_acquires = 1;
+  EXPECT_EQ(r.rig.stats.snapshot() - before, taken);
+}
+
+// Three groups with full active pages race for the one free page, two
+// workers each. Exactly one group wins it; its workers' later requests must
+// see the page even while others fail fast on the dry pool — a lock-free
+// failure between the winner taking the page and installing it would lose
+// one of them. Every request of the winning group fits in the page.
+TEST(BucketGroupAllocatorTest, RaceForTheLastPageLosesNoAllocation) {
+  constexpr std::uint32_t kGroups = 3, kPerGroup = 2, kRequests = 40;
+  constexpr std::uint32_t kBytes = 32;  // 2 x 40 x 32 B fit in 4 KiB
+  for (int round = 0; round < 50; ++round) {
+    AllocRig r(16, 4, kGroups);  // 4 pages
+    for (std::uint32_t g = 0; g < kGroups; ++g)
+      ASSERT_TRUE(
+          r.alloc.alloc(g, PageClass::kGeneric, 4096, r.rig.stats).ok());
+    ASSERT_EQ(r.pool.free_count(), 1u);
+    const gpusim::StatsSnapshot before = r.rig.stats.snapshot();
+
+    std::atomic<bool> go{false};
+    std::atomic<std::uint32_t> served[kGroups] = {};
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < kGroups * kPerGroup; ++t)
+      threads.emplace_back([&, g = t % kGroups] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (std::uint32_t i = 0; i < kRequests; ++i)
+          if (r.alloc.alloc(g, PageClass::kGeneric, kBytes, r.rig.stats).ok())
+            served[g].fetch_add(1);
+      });
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) th.join();
+
+    std::uint32_t winners = 0;
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+      const std::uint32_t n = served[g].load();
+      if (n == 0) continue;
+      ++winners;
+      EXPECT_EQ(n, kPerGroup * kRequests) << "round " << round << " group " << g;
+    }
+    ASSERT_EQ(winners, 1u) << "round " << round;
+    EXPECT_EQ(r.alloc.postponed_groups(), kGroups - 1);
+    const gpusim::StatsSnapshot d = r.rig.stats.snapshot() - before;
+    const std::uint64_t calls = kGroups * kPerGroup * kRequests;
+    EXPECT_EQ(d.alloc_ops, calls);
+    EXPECT_EQ(d.lock_acquires, calls);
+    EXPECT_EQ(d.alloc_fails, calls - kPerGroup * kRequests);
+    EXPECT_EQ(d.page_acquires, 1u);
+  }
 }
 
 // Property: no two allocations overlap, across groups, classes, and page

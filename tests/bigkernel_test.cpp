@@ -2,8 +2,12 @@
 // metering, done-chunk skipping, halting.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bigkernel/pipeline.hpp"
 #include "test_util.hpp"
@@ -125,6 +129,105 @@ TEST(PipelineTest, PostponedRecordsStayPending) {
   const auto s = rig.stats.snapshot();
   EXPECT_EQ(s.records_processed, 16u);
   EXPECT_EQ(s.records_postponed, 16u);
+}
+
+// ---- retry prefetch ----
+
+// Records 0..63: every third is already done, every even one carries a
+// retry hint naming it (0x1000 + rec). Done records with hints stand for
+// stale hints and must never be prefetched.
+struct PrefetchSetup {
+  static constexpr std::size_t kRecords = 64;
+  static bool done(std::size_t r) { return r % 3 == 0; }
+  static std::uint32_t hint(std::size_t r) {
+    return r % 2 == 0 ? static_cast<std::uint32_t>(0x1000 + r) : 0;
+  }
+  static bool eligible(std::size_t r) { return !done(r) && hint(r) != 0; }
+
+  PrefetchSetup() : progress(kRecords, /*multi_emit=*/true) {
+    for (std::size_t r = 0; r < kRecords; ++r) {
+      if (done(r)) progress.mark_done(r);
+      progress.set_retry_hint(r, hint(r));
+    }
+  }
+
+  // Runs one pass (odd records postpone) with `prefetch`, returning its
+  // result and the counters it produced.
+  std::pair<PassResult, gpusim::StatsSnapshot> run(std::size_t workers,
+                                                   const PrefetchFn& prefetch) {
+    Rig rig(1u << 20, workers);
+    InputPipeline pipe(rig.ctx, small_cfg());
+    const PassResult res = pipe.run_pass(
+        input, idx, progress,
+        [](std::size_t rec, std::string_view) {
+          return rec % 2 == 0 ? core::Status::kSuccess
+                              : core::Status::kPostpone;
+        },
+        {}, prefetch);
+    EXPECT_EQ(rig.dev.bus().snapshot().h2d_txns, res.chunks_staged);
+    return {res, rig.stats.snapshot()};
+  }
+
+  std::string input = lines(kRecords);
+  RecordIndex idx = index_lines(input);
+  ProgressTracker progress;
+};
+
+TEST(PipelinePrefetchTest, CalledAheadOnlyForPendingHintedRecords) {
+  // One worker runs a chunk's records in order, so the calls are exact:
+  // record r warms the line of r + 8 and the chain head of r + 4, within
+  // its chunk, when that record is pending and hinted.
+  PrefetchSetup setup;
+  std::vector<std::pair<PrefetchStage, std::uint32_t>> calls;
+  (void)setup.run(1, [&](PrefetchStage stage, std::uint32_t hint) {
+    calls.emplace_back(stage, hint);
+  });
+  std::vector<std::pair<PrefetchStage, std::uint32_t>> want;
+  const std::size_t chunk = small_cfg().records_per_chunk;
+  for (std::size_t lo = 0; lo < PrefetchSetup::kRecords; lo += chunk) {
+    bool pending = false;
+    for (std::size_t r = lo; r < lo + chunk; ++r)
+      pending |= !PrefetchSetup::done(r);
+    if (!pending) continue;  // a skipped chunk runs no kernel
+    for (std::size_t r = lo; r < lo + chunk; ++r) {
+      if (r + kPrefetchLineAhead < lo + chunk &&
+          PrefetchSetup::eligible(r + kPrefetchLineAhead))
+        want.emplace_back(PrefetchStage::kBucketLine,
+                          PrefetchSetup::hint(r + kPrefetchLineAhead));
+      if (r + kPrefetchHeadAhead < lo + chunk &&
+          PrefetchSetup::eligible(r + kPrefetchHeadAhead))
+        want.emplace_back(PrefetchStage::kChainHead,
+                          PrefetchSetup::hint(r + kPrefetchHeadAhead));
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(calls, want);
+}
+
+TEST(PipelinePrefetchTest, ResultsAndCountersIgnoreThePrefetcher) {
+  for (const std::size_t workers : {1u, 4u}) {
+    PrefetchSetup with, without;
+    std::mutex mu;
+    std::set<std::uint32_t> hints;
+    const auto [res, stats] =
+        with.run(workers, [&](PrefetchStage, std::uint32_t hint) {
+          const std::lock_guard<std::mutex> lk(mu);
+          hints.insert(hint);
+        });
+    const auto [base_res, base_stats] = without.run(workers, {});
+    EXPECT_EQ(res.chunks_staged, base_res.chunks_staged);
+    EXPECT_EQ(res.chunks_skipped, base_res.chunks_skipped);
+    EXPECT_EQ(res.bytes_staged, base_res.bytes_staged);
+    EXPECT_EQ(res.halted, base_res.halted);
+    EXPECT_EQ(stats, base_stats);
+    for (std::size_t r = 0; r < PrefetchSetup::kRecords; ++r)
+      EXPECT_EQ(with.progress.is_done(r), without.progress.is_done(r)) << r;
+    // Whatever the interleaving, no done (stale) or unhinted record was
+    // prefetched.
+    EXPECT_FALSE(hints.empty());
+    for (const std::uint32_t h : hints)
+      EXPECT_TRUE(PrefetchSetup::eligible(h - 0x1000)) << h;
+  }
 }
 
 TEST(PipelineTest, OversizedChunkThrows) {

@@ -296,5 +296,52 @@ TEST(TableStatsTest, TracksResidentAndFlushedBytes) {
   EXPECT_EQ(s2.table_bytes, s1.table_bytes);
 }
 
+TEST(BucketLineTest, DeviceChargeIsTwoHeadsAndALockWord) {
+  // The chain heads live on the host-side bucket line, but the simulated
+  // device is charged the compact layout: 16 bytes of heads plus a 4-byte
+  // lock word per bucket, so the heap does not shrink for the line.
+  Rig rig(1u << 20);
+  auto cfg = small_cfg(Organization::kCombining);
+  cfg.heap_bytes = cfg.page_size;
+  const std::size_t before = rig.dev.static_used();
+  SepoHashTable ht(rig.ctx, cfg);
+  EXPECT_EQ(rig.dev.static_used() - before,
+            std::size_t{cfg.num_buckets} * (16 + 4) + cfg.page_size);
+  EXPECT_EQ(sizeof(BucketChainStore::BucketLine), gpusim::kCacheLineBytes);
+}
+
+TEST(RetryPrefetchTest, AnyHintLeavesSimulatedStateAlone) {
+  for (const Organization org :
+       {Organization::kCombining, Organization::kMultiValued}) {
+    Rig rig(8u << 20);
+    SepoHashTable ht(rig.ctx, small_cfg(org));
+    ht.begin_iteration();
+    for (int i = 0; i < 300; ++i)
+      ASSERT_EQ(ht.insert_u64("k" + std::to_string(i % 97), 1),
+                Status::kSuccess);
+    const auto warm_everything = [&] {
+      for (std::uint32_t h = 0; h < 4 * ht.config().num_buckets; h += 3) {
+        ht.prefetch_bucket_line(h * 0x9e3779b9u);
+        ht.prefetch_chain_head(h * 0x9e3779b9u);
+      }
+    };
+    const gpusim::StatsSnapshot before = rig.stats.snapshot();
+    const gpusim::BucketLoad load = ht.bucket_load();
+    const auto hist = ht.resident_chain_histogram();
+    warm_everything();
+    EXPECT_EQ(rig.stats.snapshot(), before);
+    EXPECT_EQ(ht.bucket_load().total_accesses, load.total_accesses);
+    EXPECT_EQ(ht.resident_chain_histogram(), hist);
+    // Hints that went stale when the flush cleared the device chains.
+    ht.end_iteration();
+    ht.begin_iteration();
+    const gpusim::StatsSnapshot flushed = rig.stats.snapshot();
+    warm_everything();
+    EXPECT_EQ(rig.stats.snapshot(), flushed);
+    const HostTable t = ht.finalize();
+    EXPECT_EQ(t.entry_count(), 97u);
+  }
+}
+
 }  // namespace
 }  // namespace sepo::core

@@ -12,8 +12,10 @@
 
 #include "baselines/mapcg.hpp"
 #include "baselines/phoenix.hpp"
+#include "common/hashing.hpp"
 #include "common/random.hpp"
 #include "mapreduce/runtime.hpp"
+#include "mapreduce/sepo_emitter.hpp"
 #include "test_util.hpp"
 
 namespace sepo::mapreduce {
@@ -191,6 +193,96 @@ TEST(MapReduceRuntimeTest, CustomPartitioner) {
       });
   EXPECT_EQ(*out.table->lookup_u64("b"), 4u);
   EXPECT_EQ(*out.table->lookup_u64("a"), 2u);
+}
+
+// ---- retry hints (SepoEmitter) ----
+
+// A table whose heap holds two pages, so a handful of distinct keys from
+// different bucket groups postpones.
+struct HintRig {
+  HintRig() : rig(1u << 20) {
+    core::HashTableConfig cfg;
+    cfg.org = core::Organization::kCombining;
+    cfg.combiner = core::combine_sum_u64;
+    cfg.num_buckets = 1u << 10;
+    cfg.buckets_per_group = 128;
+    cfg.page_size = 2u << 10;
+    cfg.heap_bytes = 4u << 10;
+    table = std::make_unique<core::SepoHashTable>(rig.ctx, cfg);
+  }
+
+  std::vector<std::uint32_t> accesses() {
+    std::vector<std::uint32_t> a;
+    for (std::uint32_t b = 0; b < table->store().num_buckets(); ++b)
+      a.push_back(table->store().line(b).accesses);
+    return a;
+  }
+
+  Rig rig;
+  std::unique_ptr<core::SepoHashTable> table;
+};
+
+std::string hint_key(int i) { return "key-" + std::to_string(i); }
+
+TEST(RetryHintTest, PostponedEmitLeavesItsKeysHash) {
+  HintRig r;
+  ProgressTracker progress(2, /*multi_emit=*/true);
+  SepoEmitter em(*r.table, progress, 1);
+  int failed_at = -1;
+  for (int i = 0; i < 200 && failed_at < 0; ++i)
+    if (em.emit_u64(hint_key(i), 1) == core::Status::kPostpone) failed_at = i;
+  ASSERT_GE(failed_at, 0) << "the two-page heap never ran dry";
+  EXPECT_EQ(progress.retry_hint(1),
+            static_cast<std::uint32_t>(hash_key(hint_key(failed_at))));
+  EXPECT_EQ(progress.resume_point(1), static_cast<std::uint32_t>(failed_at));
+  EXPECT_EQ(progress.retry_hint(0), 0u);  // record 0 never ran
+}
+
+TEST(RetryHintTest, RecordThatNeverPostponesHasNoHint) {
+  HintRig r;
+  ProgressTracker progress(1, /*multi_emit=*/true);
+  SepoEmitter em(*r.table, progress, 0);
+  for (int i = 0; i < 3; ++i)  // one key: the two pages never run dry
+    ASSERT_EQ(em.emit_u64(hint_key(0), 1), core::Status::kSuccess);
+  EXPECT_EQ(progress.retry_hint(0), 0u);
+}
+
+TEST(RetryHintTest, ResumedRecordFirstInsertsIntoTheHintedBucket) {
+  HintRig r;
+  ProgressTracker progress(1, /*multi_emit=*/true);
+  std::vector<std::string> keys;
+  {
+    SepoEmitter em(*r.table, progress, 0);
+    for (int i = 0; i < 200; ++i) {
+      keys.push_back(hint_key(i));
+      if (em.emit_u64(keys.back(), 1) == core::Status::kPostpone) break;
+    }
+    ASSERT_TRUE(em.failed());
+  }
+  keys.push_back("after-the-postponed-key");
+  const std::uint32_t hint = progress.retry_hint(0);
+  ASSERT_NE(hint, 0u);
+  r.table->end_iteration();  // frees the heap, as the driver does
+  r.table->begin_iteration();
+
+  // Re-execute: the accepted prefix is skipped, and the first emit that
+  // reaches the table must take the hinted bucket.
+  SepoEmitter em(*r.table, progress, 0);
+  std::vector<std::uint32_t> before = r.accesses();
+  bool checked = false;
+  for (const std::string& k : keys) {
+    ASSERT_EQ(em.emit_u64(k, 1), core::Status::kSuccess) << k;
+    const std::vector<std::uint32_t> after = r.accesses();
+    if (after == before) continue;
+    for (std::uint32_t b = 0; b < after.size(); ++b) {
+      if (after[b] != before[b]) {
+        EXPECT_EQ(b, r.table->store().bucket_of(std::uint64_t{hint}));
+      }
+    }
+    checked = true;
+    break;
+  }
+  EXPECT_TRUE(checked);
 }
 
 // ---- Phoenix baseline ----

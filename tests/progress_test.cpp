@@ -75,5 +75,35 @@ TEST(ProgressTest, ResetClearsState) {
   EXPECT_EQ(p.resume_point(0), 0u);
 }
 
+TEST(ProgressTest, RetryHintKeepsLowHashBits) {
+  ProgressTracker p(4, /*multi_emit=*/true);
+  EXPECT_EQ(p.retry_hint(2), 0u);  // never postponed: no hint
+  p.set_retry_hint(2, 0x1234'5678'9abc'def0ULL);
+  EXPECT_EQ(p.retry_hint(2), 0x9abc'def0u);
+  // The hint shares the resume slot but not its value.
+  p.advance(2, 0);
+  EXPECT_EQ(p.resume_point(2), 1u);
+  EXPECT_EQ(p.retry_hint(2), 0x9abc'def0u);
+  // A later postponement of the same record overwrites it.
+  p.set_retry_hint(2, 0x42);
+  EXPECT_EQ(p.retry_hint(2), 0x42u);
+  EXPECT_EQ(p.retry_hint(1), 0u);
+  EXPECT_EQ(p.retry_hint(3), 0u);
+}
+
+TEST(ProgressTest, SingleEmitTrackerKeepsNoHints) {
+  ProgressTracker p(4, /*multi_emit=*/false);
+  p.set_retry_hint(1, 0xabcd);  // no-op
+  EXPECT_EQ(p.retry_hint(1), 0u);
+}
+
+TEST(ProgressTest, ResetClearsRetryHints) {
+  ProgressTracker p(5, /*multi_emit=*/true);
+  p.set_retry_hint(0, 7);
+  p.set_retry_hint(4, 9);
+  p.reset(5, /*multi_emit=*/true);
+  for (std::size_t t = 0; t < 5; ++t) EXPECT_EQ(p.retry_hint(t), 0u) << t;
+}
+
 }  // namespace
 }  // namespace sepo

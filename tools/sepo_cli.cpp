@@ -11,6 +11,7 @@
 //   sepo_cli run --app wc --impl gpu --metrics-out=m.json --trace-out=t.json
 //   sepo_cli metrics-check BENCH_fig6.json        # schema validation
 //   sepo_cli metrics-diff old.json new.json --max-regress-pct 5
+//   sepo_cli metrics-diff base.json new.json --exact  # simulated identity
 //   sepo_cli run --app pvc --impl gpu --fault-seed 7 --fault-h2d-rate 0.01
 //   sepo_cli run --app pvc --impl gpu --fault-h2d-rate 0.5
 //       --journal-out crash.jsonl                 # flight-recorder dump
@@ -23,7 +24,10 @@
 // --fault-* flags, fuzz failures found, or invalid/unreadable/incomparable
 // metrics files (report and metrics-diff accept only the current schema
 // version); metrics-diff additionally exits 3 when
-// sim_seconds regressed beyond the threshold; `fuzz --repro` exits 4 when
+// sim_seconds regressed beyond the threshold or, with --exact, when a run is
+// missing on either side or any of its fields other than the wall-clock
+// ones differs (counters, digests, key and iteration counts and pcie fields
+// exactly, simulated doubles beyond obs::nearly_equal); `fuzz --repro` exits 4 when
 // the replayed verdict differs from the recorded one.
 #include <algorithm>
 #include <cmath>
@@ -136,6 +140,8 @@ void usage() {
                "  metrics-check FILE         validate a metrics JSON file\n"
                "  metrics-diff OLD NEW       compare two metrics files; exits 3 when\n"
                "                             sim_seconds regressed > --max-regress-pct\n"
+               "                             [--exact] also exits 3 when any simulated\n"
+               "                             field of a run differs (wall fields aside)\n"
                "  report FILE                render a run report from a metrics file:\n"
                "                             per-iteration table, occupancy\n"
                "                             high-water marks, fault summary\n"
@@ -687,8 +693,50 @@ std::string run_key(const obs::Json& r) {
   return k;
 }
 
+// Appends to `out` every field where the run objects `a` and `b` disagree:
+// integers, strings and bools must match exactly, a double within
+// obs::nearly_equal. Host-clock fields (names starting "wall") are skipped.
+void exact_diffs(const obs::Json& a, const obs::Json& b,
+                 const std::string& path, std::vector<std::string>& out) {
+  using T = obs::Json::Type;
+  if (a.is_number() && b.is_number()) {
+    const bool same = a.type() == T::kDouble || b.type() == T::kDouble
+                          ? obs::nearly_equal(a.as_double(), b.as_double())
+                          : a.as_i64() == b.as_i64() && a.as_u64() == b.as_u64();
+    if (!same) out.push_back(path + ": " + a.dump() + " -> " + b.dump());
+    return;
+  }
+  if (a.type() != b.type()) {
+    out.push_back(path + ": " + a.dump() + " -> " + b.dump());
+    return;
+  }
+  if (a.is_object()) {
+    for (const auto& [k, v] : a.items()) {
+      if (k.starts_with("wall")) continue;
+      const obs::Json* w = b.find(k);
+      if (w == nullptr)
+        out.push_back(path + "." + k + ": missing in the new file");
+      else
+        exact_diffs(v, *w, path + "." + k, out);
+    }
+    for (const auto& [k, v] : b.items())
+      if (!k.starts_with("wall") && a.find(k) == nullptr)
+        out.push_back(path + "." + k + ": missing in the old file");
+  } else if (a.is_array()) {
+    if (a.size() != b.size()) {
+      out.push_back(path + ": " + std::to_string(a.size()) + " -> " +
+                    std::to_string(b.size()) + " elements");
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i)
+      exact_diffs(a.at(i), b.at(i), path + "[" + std::to_string(i) + "]", out);
+  } else if (a.dump() != b.dump()) {
+    out.push_back(path + ": " + a.dump() + " -> " + b.dump());
+  }
+}
+
 int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
-                     double max_regress_pct) {
+                     double max_regress_pct, bool exact) {
   const auto older = load_metrics(old_path);
   const auto newer = load_metrics(new_path);
   if (!older || !newer) return 2;
@@ -712,15 +760,18 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
   TablePrinter table({"run", "old sim_ms", "new sim_ms", "delta %"});
   bool regressed = false;
   std::size_t matched = 0;
+  std::vector<std::string> differences;  // --exact
   for (const auto& r : (*newer)["runs"].elements()) {
     const std::string k = run_key(r);
     const auto it = base.find(k);
     if (it == base.end()) {
       table.add_row({k, "-", TablePrinter::fmt(r["sim_seconds"].as_double() * 1e3, 3),
                      "new"});
+      if (exact) differences.push_back(k + ": not in the old file");
       continue;
     }
     ++matched;
+    if (exact) exact_diffs(*it->second, r, k, differences);
     const double o = (*it->second)["sim_seconds"].as_double();
     const double n = r["sim_seconds"].as_double();
     // Relative-epsilon comparison: the simulated-time fields are
@@ -762,6 +813,21 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     std::fprintf(stderr, "sim_seconds regression beyond %.1f%%\n",
                  max_regress_pct);
     return 3;
+  }
+  if (exact) {
+    std::set<std::string> fresh;
+    for (const auto& r : (*newer)["runs"].elements()) fresh.insert(run_key(r));
+    for (const auto& [k, r] : base)
+      if (fresh.count(k) == 0) differences.push_back(k + ": not in the new file");
+    for (const std::string& d : differences)
+      std::fprintf(stderr, "differs: %s\n", d.c_str());
+    if (!differences.empty()) {
+      std::fprintf(stderr, "%zu simulated fields differ (--exact)\n",
+                   differences.size());
+      return 3;
+    }
+    std::printf("ok: %zu runs identical apart from wall fields\n", matched);
+    return 0;
   }
   std::printf("ok: no sim_seconds regression beyond %.1f%%\n", max_regress_pct);
   return 0;
@@ -1214,9 +1280,13 @@ int main(int argc, char** argv) {
                     std::strcmp(argv[1], "bench-diff") == 0)) {
     const bool bench = std::strcmp(argv[1], "bench-diff") == 0;
     double max_regress_pct = bench ? 25.0 : 5.0;
+    bool exact = false;
     std::vector<std::string> paths;
     for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--max-regress-pct") == 0 && i + 1 < argc) {
+      if (!bench && std::strcmp(argv[i], "--exact") == 0) {
+        exact = true;
+      } else if (std::strcmp(argv[i], "--max-regress-pct") == 0 &&
+                 i + 1 < argc) {
         if (!parse_flag<double>("--max-regress-pct", argv[++i],
                                 max_regress_pct))
           return 1;
@@ -1229,7 +1299,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     return bench ? cmd_bench_diff(paths[0], paths[1], max_regress_pct)
-                 : cmd_metrics_diff(paths[0], paths[1], max_regress_pct);
+                 : cmd_metrics_diff(paths[0], paths[1], max_regress_pct,
+                                    exact);
   }
 
   int err_exit = 1;
