@@ -23,7 +23,7 @@
 #include "core/hash_table.hpp"
 #include "core/sepo_driver.hpp"
 #include "core/sepo_lookup.hpp"
-#include "gpusim/cost_model.hpp"
+#include "gpusim/exec_context.hpp"
 #include "mapreduce/sepo_emitter.hpp"
 
 using namespace sepo;
@@ -87,15 +87,17 @@ int main() {
     std::vector<std::optional<std::vector<std::byte>>> answers;
     const core::LookupBatchResult res = engine.lookup_values(queries, answers);
 
-    const double sepo_time =
-        gpu_sim_seconds(stats.snapshot(), dev.bus(), dev.bus().snapshot(), {});
+    const double sepo_time = ctx.sim_elapsed();
 
-    // Remote-probe alternative: each chain entry visited is one small PCIe
-    // transaction (header + key), plus the answer readback.
+    // Remote-probe alternative: one kernel, one thread per query; each chain
+    // entry visited is one small PCIe transaction (header + key), plus the
+    // answer readback. The launch schedules the metered remote traffic
+    // after the kernel, as for the pinned engine.
     gpusim::Device rdev(512u << 10);
     gpusim::RunStats rstats;
-    std::uint64_t found = 0;
-    for (const auto& q : queries) {
+    gpusim::ExecContext rctx(rdev, pool, rstats);
+    rctx.launch(queries.size(), [&](std::size_t i) {
+      const std::string& q = queries[i];
       rstats.add_hash_ops();
       const std::uint32_t b = static_cast<std::uint32_t>(hash_key(q)) &
                               static_cast<std::uint32_t>(table.bucket_count() - 1);
@@ -105,14 +107,12 @@ int main() {
         rdev.bus().remote(sizeof(core::KvEntry) + e->key_len);
         if (e->key() == q) {
           rdev.bus().remote(e->val_len);
-          ++found;
           break;
         }
         p = e->next_host;
       }
-    }
-    const double remote_time = gpu_sim_seconds(
-        rstats.snapshot(), rdev.bus(), rdev.bus().snapshot(), {});
+    });
+    const double remote_time = rctx.sim_elapsed();
 
     out.add_row({TablePrinter::fmt_int(static_cast<long long>(batch)),
                  TablePrinter::fmt_int(res.iterations),

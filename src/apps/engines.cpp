@@ -198,8 +198,9 @@ class StadiumEngine final : public Engine {
            "as separate pairs, merged host-side only for the digest";
   }
   Caps caps() const noexcept override {
-    // Inserts meter the raw PCIe bus (one remote txn per pair), not the
-    // fault-priced ExecContext engines, so the telemetry hooks don't apply.
+    // Inserts meter the raw PCIe bus (one remote txn per pair) and the run is
+    // priced as one pass afterwards, not through the fault-priced
+    // ExecContext launches, so fault injection and tracing don't apply.
     return {.standalone = true, .simulated_device = true};
   }
   RunResult run(const AppInfo& app, std::string_view input,
@@ -241,11 +242,16 @@ class StadiumEngine final : public Engine {
                 .serial_atomic_ops = 0};
     r.iterations = 1;
     if (!r.error) digest_stadium(app, *table, r);
-    // No timeline commands are scheduled on this path; the analytic model
-    // (which reads the bus meters) is the one that carries the cost.
-    r.sim_seconds = gpu_sim_seconds(r.stats, sim.dev.bus(), r.pcie, r.serial,
-                                    &r.gpu_breakdown);
-    r.sim_seconds_analytic = r.sim_seconds;
+    // The whole run is priced as one pass on the timeline: the input's
+    // staging overlaps the insert kernel (the kernel does not wait for it),
+    // and the per-pair remote writes, metered on the bus, serialize after
+    // both. Makespan: max(compute, h2d) + remote.
+    gpusim::ExecContext& ctx = sim.ctx;
+    const gpusim::Event staged = ctx.copy_stream().h2d(input.size());
+    ctx.compute_stream().kernel(r.stats, idx.size());
+    ctx.compute_stream().wait(staged);
+    ctx.compute_stream().remote(r.pcie.remote_bytes, r.pcie.remote_txns);
+    fill_gpu_times(r, ctx, sim.dev.bus());
     r.wall_seconds = sim.timer.seconds();
     return r;
   }
@@ -313,7 +319,6 @@ class PagingSimEngine final : public Engine {
     r.pcie.d2h_bytes = res.bytes_transferred;  // replacement traffic
     r.sim_seconds = static_cast<double>(res.bytes_transferred) /
                     bus.params().bandwidth_bytes_per_s;
-    r.sim_seconds_analytic = r.sim_seconds;
     r.wall_seconds = timer.seconds();
     return r;
   }

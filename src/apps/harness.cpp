@@ -88,27 +88,14 @@ std::uint64_t checksum_kv_bytes(std::string_view key, const std::byte* value,
                                  value_len));
 }
 
-double gpu_sim_seconds(const gpusim::StatsSnapshot& stats,
-                       const gpusim::PcieBus& bus,
-                       const gpusim::PcieSnapshot& pcie,
-                       const gpusim::SerializationInputs& serial,
-                       gpusim::GpuTimeBreakdown* breakdown) {
-  const gpusim::GpuTimeBreakdown b =
-      gpusim::gpu_time(gpusim::kGpuDesc, stats, bus, pcie);
-  if (breakdown) *breakdown = b;
-  return b.total + gpusim::serialization_time(gpusim::kGpuDesc, serial);
-}
-
 double cpu_sim_seconds(const gpusim::StatsSnapshot& stats,
                        const gpusim::SerializationInputs& serial) {
-  return gpusim::cpu_time(gpusim::kCpuDesc, stats) +
+  return gpusim::compute_time(gpusim::kCpuDesc, stats) +
          gpusim::serialization_time(gpusim::kCpuDesc, serial);
 }
 
 void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx,
-                    const gpusim::PcieBus& bus) {
-  r.sim_seconds_analytic =
-      gpu_sim_seconds(r.stats, bus, r.pcie, r.serial, &r.gpu_breakdown);
+                    const gpusim::PcieBus& /*bus*/) {
   r.timeline = ctx.timeline().summary();
   r.faults = ctx.timeline().fault_summary();
   r.sim_seconds =

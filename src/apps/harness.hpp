@@ -63,6 +63,10 @@ struct GpuConfig {
   // site down to one false branch; results and metrics are bit-identical
   // either way (tests/journal_test.cpp).
   gpusim::EventJournal* journal = nullptr;
+  // Unit costs the run's timeline prices kernels with. The cost-sensitivity
+  // ablation re-runs apps under scaled descriptions; everything else keeps
+  // the default GTX-780ti-like device.
+  gpusim::MachineDesc machine = gpusim::kGpuDesc;
 };
 
 struct CpuConfig {
@@ -83,7 +87,9 @@ struct CpuConfig {
 class SimRun {
  public:
   explicit SimRun(const GpuConfig& cfg)
-      : dev(cfg.device_bytes), pool(cfg.pool_workers), ctx(dev, pool, stats) {
+      : dev(cfg.device_bytes),
+        pool(cfg.pool_workers),
+        ctx(dev, pool, stats, cfg.machine) {
     if (cfg.trace) ctx.set_trace(cfg.trace);
     if (cfg.journal) ctx.set_journal(cfg.journal);
     if (cfg.faults.enabled()) {
@@ -163,20 +169,15 @@ struct RunResult {
   std::uint64_t checksum = 0;       // order-independent result digest
   std::uint64_t keys = 0;           // distinct keys (entries) in the result
   // Modelled time. GPU paths: the discrete-event timeline's makespan plus
-  // the lock-serialization term; CPU paths: the analytic compute model.
+  // the lock-serialization term; CPU paths: compute_time() on the CPU
+  // description plus its serialization term.
   double sim_seconds = 0;
-  // Cross-check for GPU paths: the legacy analytic total
-  // (max(compute, h2d) + d2h + remote, plus serialization). The timeline
-  // should land close to it — per-resource pricing is identical, only the
-  // admitted overlap differs. Equal to sim_seconds on CPU paths.
-  double sim_seconds_analytic = 0;
   // Host wall clock. Informational only: it depends on the simulation
   // host's hardware and load, unlike sim_seconds. Serialized and printed as
   // "wall_seconds_host" to keep that distinction visible.
   double wall_seconds = 0;
-  gpusim::GpuTimeBreakdown gpu_breakdown{};  // GPU paths only (analytic)
-  gpusim::TimelineSummary timeline{};        // GPU paths only (scheduled)
-  gpusim::FaultSummary faults{};             // per-engine fault/retry totals
+  gpusim::TimelineSummary timeline{};  // GPU paths only (scheduled)
+  gpusim::FaultSummary faults{};       // per-engine fault/retry totals
   // Structural failure, if any. A set error means the numbers above cover
   // the run up to the failure point and the table results are not valid.
   RunError error;
@@ -233,18 +234,10 @@ template <typename Table>
   return sum;
 }
 
-// Simulated time for a GPU-side run — legacy analytic model, kept as the
-// timeline's cross-check (and used by extensions without a timeline).
-[[nodiscard]] double gpu_sim_seconds(const gpusim::StatsSnapshot& stats,
-                                     const gpusim::PcieBus& bus,
-                                     const gpusim::PcieSnapshot& pcie,
-                                     const gpusim::SerializationInputs& serial,
-                                     gpusim::GpuTimeBreakdown* breakdown = nullptr);
-
 // Fills a GPU RunResult's time fields from a finished ExecContext:
-// sim_seconds from the timeline makespan + serialization, the analytic
-// total into sim_seconds_analytic / gpu_breakdown, and the timeline summary.
-// Requires r.stats, r.pcie and r.serial to be set already.
+// sim_seconds from the timeline makespan + serialization, plus the timeline
+// and fault summaries. Requires r.serial to be set already. The bus is not
+// read: every transfer is already priced on the timeline.
 void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx,
                     const gpusim::PcieBus& bus);
 

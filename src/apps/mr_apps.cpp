@@ -199,7 +199,6 @@ RunResult run_mr_phoenix(const MrApp& app, std::string_view input,
   r.checksum = app.mode == mapreduce::Mode::kMapGroup ? digest_groups(*table)
                                                       : digest_kv(*table);
   r.sim_seconds = cpu_sim_seconds(r.stats, r.serial);
-  r.sim_seconds_analytic = r.sim_seconds;
   r.wall_seconds = timer.seconds();
   return r;
 }

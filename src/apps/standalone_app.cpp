@@ -189,7 +189,6 @@ RunResult StandaloneApp::run_cpu(std::string_view input,
                    ? digest_groups(table)
                    : digest_kv(table);
   r.sim_seconds = cpu_sim_seconds(r.stats, r.serial);
-  r.sim_seconds_analytic = r.sim_seconds;
   r.wall_seconds = timer.seconds();
   return r;
 }

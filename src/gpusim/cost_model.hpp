@@ -1,9 +1,11 @@
-// Analytic time model (DESIGN.md §5).
+// Unit costs of the simulated machines (DESIGN.md §5).
 //
-// All benches report *simulated* time computed from measured event counts:
-//
-//   t_gpu = max(t_compute, t_h2d) + t_d2h + t_remote
-//   t_cpu = t_compute_cpu (+ allocation and contention terms)
+// Simulated time has one source: the discrete-event Timeline
+// (gpusim/stream.hpp) schedules every kernel, copy, flush and remote batch
+// and prices each with compute_time() below or with the PCIe parameters
+// (pcie.hpp). A GPU run's sim_seconds is the timeline's makespan plus
+// serialization_time(); a CPU run has no timeline and is compute_time()
+// plus serialization_time() on the CPU description.
 //
 // Every priced count is a pure function of the run (app, input, config,
 // seed), never of host scheduling. Lock contention in particular is not
@@ -22,11 +24,9 @@
 // (who wins, crossovers) depend on the *ratios* and on the measured counts.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "gpusim/counters.hpp"
-#include "gpusim/pcie.hpp"
 
 namespace sepo::gpusim {
 
@@ -122,25 +122,5 @@ constexpr MachineDesc kCpuDesc{
 
 // Pure compute time of `s` on machine `m` (no bus transfers).
 [[nodiscard]] double compute_time(const MachineDesc& m, const StatsSnapshot& s);
-
-struct GpuTimeBreakdown {
-  double compute = 0;   // kernels
-  double h2d = 0;       // input staging (overlappable with compute)
-  double d2h = 0;       // heap flushes (serial: computation is halted)
-  double remote = 0;    // pinned-memory remote accesses (serial with compute)
-  double total = 0;     // max(compute, h2d) + d2h + remote
-};
-
-// Combines kernel compute time with bus transfer times. Input staging (h2d)
-// overlaps with compute thanks to the BigKernel pipeline; heap flushes (d2h)
-// halt the computation (paper §IV-C), and remote accesses serialize with the
-// issuing warps.
-[[nodiscard]] GpuTimeBreakdown gpu_time(const MachineDesc& m,
-                                        const StatsSnapshot& s,
-                                        const PcieBus& bus,
-                                        const PcieSnapshot& p);
-
-// CPU-side total: compute only (the baseline has no bus).
-[[nodiscard]] double cpu_time(const MachineDesc& m, const StatsSnapshot& s);
 
 }  // namespace sepo::gpusim

@@ -50,7 +50,7 @@ void ExecContext::fault_transfer_attempts(bool is_d2h, std::uint64_t bytes) {
                        std::to_string(f.config().max_retries) + " retries");
     }
     // The failed attempt still crossed the bus and occupied the copy engine
-    // at full price; meter both so busy == analytic-term equality holds
+    // at full price; meter both so busy == priced-meter equality holds
     // under faults too. Then wait out the backoff before the next attempt.
     timeline_.note_fault(r);
     stats_.add_fault_retries();
@@ -159,8 +159,8 @@ Event ExecContext::finish_launch(const LaunchBaseline& base,
     // A slice of those transactions may fail; the failed slice re-issues
     // (same per-transaction price) after a backoff, and can fail again.
     // Retry transactions are priced on the timeline but not re-metered on
-    // the bus: the analytic model is fault-blind, and the timeline's remote
-    // busy total only counts first attempts to keep the term equality.
+    // the bus: the bus meters first attempts only, and the timeline's remote
+    // busy total counts the same first attempts to keep the equality.
     if (faults_) {
       FaultInjector& f = *faults_;
       std::uint64_t failed = f.draw_remote_failures(remote_txns);

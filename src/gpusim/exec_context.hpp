@@ -1,10 +1,8 @@
 // Unified execution context for the virtual device.
 //
-// Every layer above gpusim used to thread the same parameter triple
-// (Device&, ThreadPool&, RunStats&) through its constructors and then price
-// time analytically after the fact. ExecContext bundles the triple with a
-// discrete-event Timeline and the three streams the SEPO execution model
-// needs:
+// ExecContext bundles the parameter triple every layer above gpusim needs
+// (Device&, ThreadPool&, RunStats&) with a discrete-event Timeline and the
+// three streams the SEPO execution model needs:
 //
 //   * copy stream     h2d input staging (BigKernel ring). Overlaps compute;
 //                     bounded by buffer-reuse dependencies.
@@ -14,10 +12,11 @@
 //                     all queued compute and halts both compute and staging
 //                     until it completes (paper §IV-C).
 //
-// The context wraps the physical operations (the memcpy + bus metering stay
-// exactly as before, so counters and checksums are untouched) and schedules
+// The context wraps the physical operations (the memcpy and bus metering,
+// so counters and checksums do not depend on the schedule) and schedules
 // the priced command onto the timeline. sim_elapsed() is the resulting
-// makespan; the analytic gpu_time() remains available as a cross-check.
+// makespan, the only GPU clock: a run's sim_seconds is it plus the
+// lock-serialization term (apps::fill_gpu_times).
 #pragma once
 
 #include <cstddef>
@@ -90,7 +89,7 @@ class ExecContext {
   // and schedules the priced kernel on the compute engine, not before
   // `after` (typically its input chunk's staging event). Remote traffic the
   // kernel generated (pinned baseline) is scheduled directly after it and
-  // halts later compute, matching the analytic serialization rule.
+  // halts later compute: remote accesses serialize with the issuing warps.
   //
   // The kernel type flows through to the pool's batch loop so per-item
   // dispatch inlines; the scheduling bookkeeping on both sides of the

@@ -4,9 +4,10 @@
 // paging, §VI-D) are decided by how many bytes cross the bus in how many
 // transactions: "the data is transferred over many small PCIe transactions,
 // which is much costlier than a few bulky PCIe transactions". We therefore
-// meter every transfer as (transaction count, byte count) and convert to time
-// with a latency + bandwidth model, exactly the arithmetic the paper uses to
-// compute Table III's lower bounds.
+// meter every transfer as (transaction count, byte count). The Timeline
+// (stream.hpp) converts them to time with the latency + bandwidth model of
+// PcieParams (Timeline::price_copy / price_remote), the arithmetic the paper
+// uses to compute Table III's lower bounds.
 #pragma once
 
 #include <algorithm>
@@ -129,34 +130,6 @@ class PcieBus {
   }
 
   [[nodiscard]] const PcieParams& params() const noexcept { return params_; }
-
-  // Time for bulk transfers: per-transaction latency plus streaming time.
-  [[nodiscard]] double bulk_time(std::uint64_t bytes,
-                                 std::uint64_t txns) const noexcept {
-    return static_cast<double>(txns) * params_.latency_s +
-           static_cast<double>(bytes) / params_.bandwidth_bytes_per_s;
-  }
-
-  // Time for remote word-granularity accesses. Round-trips overlap across
-  // the thousands of concurrent device threads, so we charge the round-trip
-  // amortized by a pipelining factor rather than serially.
-  [[nodiscard]] double remote_time(std::uint64_t bytes,
-                                   std::uint64_t txns) const noexcept {
-    constexpr double kOverlapFactor = 64.0;  // in-flight remote requests
-    return static_cast<double>(txns) * params_.remote_roundtrip_s /
-               kOverlapFactor +
-           static_cast<double>(bytes) / params_.remote_bandwidth_bytes_per_s;
-  }
-
-  [[nodiscard]] double h2d_time(const PcieSnapshot& s) const noexcept {
-    return bulk_time(s.h2d_bytes, s.h2d_txns);
-  }
-  [[nodiscard]] double d2h_time(const PcieSnapshot& s) const noexcept {
-    return bulk_time(s.d2h_bytes, s.d2h_txns);
-  }
-  [[nodiscard]] double remote_access_time(const PcieSnapshot& s) const noexcept {
-    return remote_time(s.remote_bytes, s.remote_txns);
-  }
 
  private:
   // One worker's remote meter on its own cache line.

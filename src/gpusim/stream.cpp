@@ -6,8 +6,9 @@ namespace sepo::gpusim {
 
 double Timeline::price_remote(std::uint64_t bytes,
                               std::uint64_t txns) const noexcept {
-  // Same arithmetic as PcieBus::remote_time: round-trips overlap across the
-  // in-flight requests of thousands of device threads.
+  // Small remote accesses pay a round-trip each, but round-trips overlap
+  // across the in-flight requests of thousands of device threads, so the
+  // round-trip is amortized by a pipelining factor rather than serial.
   constexpr double kOverlapFactor = 64.0;
   return static_cast<double>(txns) * pcie_.remote_roundtrip_s /
              kOverlapFactor +
@@ -24,7 +25,7 @@ Event Timeline::schedule(TimelineCommandKind kind, TimelineResource resource,
   if (kind == TimelineCommandKind::kRetryBackoff ||
       kind == TimelineCommandKind::kAbortedLaunch) {
     // Fault overhead occupies the engine but is accounted separately so the
-    // busy totals keep matching the analytic per-term pricing exactly.
+    // busy totals keep matching the price of the metered counts exactly.
     ++faults_.engine[r].retries;
     faults_.engine[r].backoff_s += duration;
   } else {

@@ -1,23 +1,23 @@
-// Discrete-event execution timeline for the virtual device (DESIGN.md §5).
+// Discrete-event execution timeline for the virtual device (DESIGN.md §5):
+// the one source of simulated GPU time.
 //
 // The simulator derives time from event counts, but *when* those events may
 // overlap is a scheduling question: BigKernel staging of chunk k+1 overlaps
 // the kernel on chunk k only if a free staging buffer exists, and a SEPO
 // heap flush halts computation outright (paper §IV-C, Figure 5). The
 // Timeline models this explicitly: h2d copies, kernel launches, d2h flushes
-// and remote accesses are commands priced with the existing CostModel /
-// PcieParams arithmetic and scheduled onto per-resource simulated clocks
-// (compute engine, h2d copy engine, d2h path, remote path). A command starts
-// at the latest of: its stream's cursor (stream order), its resource's free
-// time (engines are serial), and any awaited events (cross-stream
-// dependencies). Overlap is therefore bounded by actual dependencies and
-// ring depth instead of assumed infinite, which is what the old analytic
-// `max(compute, h2d) + d2h` did.
+// and remote accesses are commands priced with compute_time() (cost_model.hpp)
+// and the PcieParams latency/bandwidth arithmetic, and scheduled onto
+// per-resource simulated clocks (compute engine, h2d copy engine, d2h path,
+// remote path). A command starts at the latest of: its stream's cursor
+// (stream order), its resource's free time (engines are serial), and any
+// awaited events (cross-stream dependencies). Overlap is therefore bounded
+// by actual dependencies and ring depth, never assumed.
 //
-// All pricing is linear in the event counts, so the sum of command durations
-// per resource equals the analytic model's per-term totals exactly; the two
-// models differ only in how much overlap the schedule admits. gpu_time()
-// stays as a cross-check (see apps::RunResult::sim_seconds_analytic).
+// All pricing is linear in the event counts, so each resource's busy total
+// equals the price of the counts metered for it. Without injected faults
+// every command starts at 0 or at another command's end, so the makespan
+// lies between the largest busy total and their sum.
 //
 // Streams/events mirror the CUDA primitives they stand in for: a Stream is
 // an ordered work queue with a moving cursor, an Event is a simulated
@@ -53,7 +53,7 @@ struct TimelineSummary {
 // Per-engine fault/retry accounting (obs schema v3). `backoff_s` is the
 // simulated time the engine spent on fault overhead — retry backoff waits
 // plus aborted launch costs — which the busy totals above exclude so that
-// busy == analytic-term equality survives fault injection.
+// busy == priced-meter equality survives fault injection.
 struct EngineFaults {
   std::uint64_t faults = 0;   // injected failures observed on this engine
   std::uint64_t retries = 0;  // overhead commands scheduled (backoffs/aborts)
@@ -80,7 +80,8 @@ class Timeline {
   Timeline(const MachineDesc& machine, PcieParams pcie)
       : machine_(machine), pcie_(pcie) {}
 
-  // Prices, per the same arithmetic the analytic model uses.
+  // Prices: compute_time() on this timeline's machine, and the PCIe
+  // latency/bandwidth model for copies and remote accesses.
   [[nodiscard]] double price_kernel(const StatsSnapshot& delta) const {
     return compute_time(machine_, delta);
   }

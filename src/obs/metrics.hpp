@@ -2,22 +2,21 @@
 // EXPERIMENTS.md "BENCH_*.json").
 //
 // Serializes the measurement types the harness produces — counter
-// snapshots, PCIe meters, serialization inputs, the GPU time breakdown,
+// snapshots, PCIe meters, serialization inputs, the timeline summary,
 // per-iteration SEPO profiles, and whole RunResults — into a stable JSON
 // schema, so benches and the CLI can emit reports that are diffable across
 // PRs (sepo_cli metrics-diff) instead of only human-readable tables.
 //
-// Schema sketch (schema_version 5):
+// Schema sketch (schema_version 6):
 //   {
-//     "schema_version": 5,
+//     "schema_version": 6,
 //     "tool": "fig6_speedup",
 //     "runs": [
 //       { "app": "...", "impl": "sepo-gpu", "sim_seconds": ...,
-//         "sim_seconds_analytic": ...,     // legacy gpu_time() cross-check
 //         "wall_seconds_host": ..., "iterations": N, "keys": N,
 //         "table_bytes": N, "heap_bytes": N, "checksum_hex": "....",
 //         "stats": { <one field per RunStats counter> },
-//         "pcie": {...}, "serialization": {...}, "gpu_breakdown": {...},
+//         "pcie": {...}, "serialization": {...},
 //         "timeline": { "compute_busy": s, "h2d_busy": s, "d2h_busy": s,
 //                       "remote_busy": s, "total": s, "commands": N },
 //         "faults": { "compute": { "faults": N, "retries": N,
@@ -44,6 +43,12 @@
 //   }
 //
 // Schema history:
+//   v6  one time model: drops v2's closed-form cross-check (the analytic
+//       max(compute, h2d) + d2h + remote total and its per-term breakdown
+//       object). GPU runs' time is the "timeline" object alone; every other
+//       field is unchanged, so a v5 file minus those two fields and with
+//       schema_version 6 is a valid v6 file of the same runs. Stadium runs
+//       now schedule their pass on the timeline too (3 commands).
 //   v5  batched inserts: adds the "combine_buffer" object — lifetime totals
 //       of the per-worker combining-buffer pipeline (DESIGN.md §5d). These
 //       are *wall-clock-side* counters: the simulated "stats" counters stay
@@ -60,12 +65,11 @@
 //       seconds (the "faults" object), the optional "error" object for runs
 //       that failed structurally (typed RunError), and the fault counters
 //       appended to SEPO_STATS_FIELDS inside "stats".
-//   v2  discrete-event timeline: adds "sim_seconds_analytic" and the
-//       "timeline" object (per-resource busy seconds, makespan "total"
-//       equal to the scheduled end of the last command, and the scheduled
-//       command count). GPU runs' "sim_seconds" is now the timeline
-//       makespan plus the serialization term; "gpu_breakdown" keeps the
-//       analytic decomposition.
+//   v2  discrete-event timeline: adds the "timeline" object (per-resource
+//       busy seconds, makespan "total" equal to the scheduled end of the
+//       last command, and the scheduled command count) and the analytic
+//       cross-check fields v6 removed. GPU runs' "sim_seconds" is now the
+//       timeline makespan plus the serialization term.
 //   v1  initial schema.
 //
 // Counter fields are generated from SEPO_STATS_FIELDS, so the serializer
@@ -81,7 +85,7 @@
 
 namespace sepo::obs {
 
-inline constexpr int kMetricsSchemaVersion = 5;
+inline constexpr int kMetricsSchemaVersion = 6;
 
 // Schema of BENCH_host.json, the *wall-clock* benchmark file written by
 // bench/host_perf (distinct from the simulated-time metrics schema above):
@@ -102,7 +106,6 @@ inline constexpr int kBenchSchemaVersion = 1;
 [[nodiscard]] Json to_json(const gpusim::StatsSnapshot& s);
 [[nodiscard]] Json to_json(const gpusim::PcieSnapshot& p);
 [[nodiscard]] Json to_json(const gpusim::SerializationInputs& s);
-[[nodiscard]] Json to_json(const gpusim::GpuTimeBreakdown& b);
 [[nodiscard]] Json to_json(const gpusim::TimelineSummary& t);
 [[nodiscard]] Json to_json(const gpusim::FaultSummary& f);
 [[nodiscard]] Json to_json(const core::IterationProfile& p);

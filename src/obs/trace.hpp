@@ -34,21 +34,10 @@
 #include <string>
 #include <vector>
 
-#include "gpusim/cost_model.hpp"
-#include "gpusim/pcie.hpp"
 #include "gpusim/trace_hook.hpp"
 #include "obs/json.hpp"
 
-namespace sepo::gpusim {
-class RunStats;
-}  // namespace sepo::gpusim
-
 namespace sepo::obs {
-
-struct TraceConfig {
-  gpusim::MachineDesc machine = gpusim::kGpuDesc;
-  gpusim::PcieParams pcie = {};
-};
 
 class TraceRecorder final : public gpusim::TraceHook {
  public:
@@ -70,16 +59,7 @@ class TraceRecorder final : public gpusim::TraceHook {
     std::uint64_t arg0 = 0, arg1 = 0;  // meaning depends on the track
   };
 
-  explicit TraceRecorder(TraceConfig cfg = {}) : cfg_(cfg) {}
-
-  // Convenience: install this recorder on a run's counters and bus.
-  // (ExecContext::set_trace is the usual entry point; the bus install is
-  // kept for compatibility — bus callbacks are no-ops now that resource
-  // spans come from timeline commands.)
-  void attach(gpusim::RunStats& stats, gpusim::PcieBus& bus) {
-    stats.set_trace_hook(this);
-    bus.set_trace_hook(this);
-  }
+  // Installed on a run through ExecContext::set_trace (GpuConfig::trace).
 
   // Labels subsequent spans' iteration markers etc. with a section name
   // (benches tracing several runs into one timeline call this per run; the
@@ -132,8 +112,6 @@ class TraceRecorder final : public gpusim::TraceHook {
   [[nodiscard]] double now_locked() const noexcept {
     return base_offset_ + run_end_;
   }
-
-  TraceConfig cfg_;
 
   mutable std::mutex mu_;
   std::vector<Span> spans_;

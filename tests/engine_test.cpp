@@ -247,6 +247,59 @@ TEST(BaselineCounterIdentityTest, MatchesRecordedCounters) {
   }
 }
 
+// Stadium prices its run on the timeline as one pass: an input copy, one
+// kernel carrying the run's counters, and the metered remote writes after
+// both, so sim_seconds is max(compute, h2d) + remote + serialization of the
+// recorded counts, bit for bit.
+struct StadiumFixture {
+  const char* app;
+  double sim_seconds;
+  std::uint64_t checksum, keys;
+  gpusim::PcieSnapshot pcie;
+  std::vector<std::pair<std::string, std::uint64_t>> stats;  // nonzero only
+};
+
+TEST(StadiumTimelineTest, ThreeCommandsReproduceRecordedResults) {
+  const StadiumFixture fixtures[] = {
+    {"pvc", 0.00013754941796875, 0x9b81ce3d31d558a1ull, 1085u,
+     {.h2d_bytes = 131172u, .h2d_txns = 1u, .d2h_bytes = 0u, .d2h_txns = 0u,
+      .remote_bytes = 86816u, .remote_txns = 1131u},
+     {{"records_processed", 1131u}, {"work_units", 130041u},
+      {"hash_ops", 1131u}, {"inserts_new", 1131u}, {"alloc_ops", 1131u},
+      {"lock_acquires", 2262u}}},
+    {"ii", 0.00020937160807291667, 0x84334d1b80dc5e96ull, 1130u,
+     {.h2d_bytes = 131930u, .h2d_txns = 1u, .d2h_bytes = 0u, .d2h_txns = 0u,
+      .remote_bytes = 139080u, .remote_txns = 1393u},
+     {{"records_processed", 211u}, {"work_units", 131719u},
+      {"hash_ops", 1393u}, {"inserts_new", 1393u}, {"alloc_ops", 1393u},
+      {"lock_acquires", 2786u}}},
+  };
+  for (const StadiumFixture& f : fixtures) {
+    SCOPED_TRACE(f.app);
+    const AppInfo& app = *find_app(f.app);
+    const std::string input = app.generate(128u << 10, /*seed=*/7);
+    EngineConfig cfg;
+    cfg.gpu.pool_workers = 1;
+    const RunResult r = find_engine("stadium")->run(app, input, cfg);
+    ASSERT_FALSE(r.error) << r.error.message;
+    EXPECT_EQ(r.timeline.commands, 3u);
+    EXPECT_EQ(r.sim_seconds, f.sim_seconds);
+    EXPECT_EQ(r.checksum, f.checksum);
+    EXPECT_EQ(r.keys, f.keys);
+    EXPECT_EQ(r.pcie.h2d_bytes, f.pcie.h2d_bytes);
+    EXPECT_EQ(r.pcie.h2d_txns, f.pcie.h2d_txns);
+    EXPECT_EQ(r.pcie.d2h_bytes, f.pcie.d2h_bytes);
+    EXPECT_EQ(r.pcie.d2h_txns, f.pcie.d2h_txns);
+    EXPECT_EQ(r.pcie.remote_bytes, f.pcie.remote_bytes);
+    EXPECT_EQ(r.pcie.remote_txns, f.pcie.remote_txns);
+    std::vector<std::pair<std::string, std::uint64_t>> nonzero;
+    r.stats.for_each_field([&](std::string_view name, std::uint64_t v) {
+      if (v != 0) nonzero.emplace_back(name, v);
+    });
+    EXPECT_EQ(nonzero, f.stats);
+  }
+}
+
 // The CPU baselines meter their pool jobs through per-worker counter shards
 // (gpusim::run_parties), so the worker count must not move a counter that
 // the schedule does not decide. Phoenix maps each party into a private

@@ -85,11 +85,17 @@ TEST(StreamTest, DefaultEventIsAlreadySignaled) {
   EXPECT_GT(a.at, 0.0);
 }
 
-TEST(TimelinePricing, MatchesAnalyticArithmetic) {
+TEST(TimelinePricing, MatchesLatencyBandwidthArithmetic) {
   Timeline tl = make_timeline();
-  PcieBus bus(PcieParams{});
-  EXPECT_DOUBLE_EQ(tl.price_copy(1u << 20, 1), bus.bulk_time(1u << 20, 1));
-  EXPECT_DOUBLE_EQ(tl.price_remote(4096, 64), bus.remote_time(4096, 64));
+  const PcieParams p;
+  // One txn's latency plus streaming time at the bulk bandwidth.
+  EXPECT_DOUBLE_EQ(tl.price_copy(1u << 20, 1),
+                   p.latency_s + (1u << 20) / p.bandwidth_bytes_per_s);
+  // Round-trips amortized over 64 in-flight requests, plus streaming time
+  // at the remote bandwidth.
+  EXPECT_DOUBLE_EQ(tl.price_remote(4096, 64),
+                   64 * p.remote_roundtrip_s / 64.0 +
+                       4096 / p.remote_bandwidth_bytes_per_s);
   StatsSnapshot delta{};
   delta.work_units = 123456;
   delta.hash_ops = 777;
@@ -216,10 +222,9 @@ TEST(ExecContextTest, ScheduleIsDeterministicRunToRun) {
   }
 }
 
-TEST(ExecContextTest, BusyTotalsMatchAnalyticTerms) {
+TEST(ExecContextTest, BusyTotalsMatchPricedMeters) {
   // Pricing is linear in the counters, so per-resource busy sums must equal
-  // the analytic model's per-term totals exactly (the two models differ
-  // only in admitted overlap).
+  // the price of the run's total counts and bus meters.
   test::Rig rig(1u << 20, /*workers=*/1);
   std::vector<std::byte> host(16u << 10);
   const DevPtr buf = rig.dev.alloc_static(host.size());
@@ -233,8 +238,8 @@ TEST(ExecContextTest, BusyTotalsMatchAnalyticTerms) {
   const StatsSnapshot total = rig.stats.snapshot();
   const PcieSnapshot pcie = rig.dev.bus().snapshot();
   EXPECT_DOUBLE_EQ(s.compute_busy, compute_time(kGpuDesc, total));
-  EXPECT_DOUBLE_EQ(s.h2d_busy,
-                   rig.dev.bus().bulk_time(pcie.h2d_bytes, pcie.h2d_txns));
+  EXPECT_DOUBLE_EQ(s.h2d_busy, rig.ctx.timeline().price_copy(pcie.h2d_bytes,
+                                                             pcie.h2d_txns));
 }
 
 }  // namespace

@@ -623,8 +623,6 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
     if (!r["impl"].is_string()) problems.push_back(where + ".impl missing");
     if (!r["sim_seconds"].is_number() || r["sim_seconds"].as_double() <= 0)
       problems.push_back(where + ".sim_seconds missing or non-positive");
-    if (!r["sim_seconds_analytic"].is_number())
-      problems.push_back(where + ".sim_seconds_analytic missing");
     if (!r["timeline"].is_object())
       problems.push_back(where + ".timeline missing");
     if (!r["wall_seconds_host"].is_number())
@@ -643,7 +641,7 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
               problems.push_back(where + ".stats." + name + " missing");
           });
     }
-    for (const char* k : {"pcie", "serialization", "gpu_breakdown", "faults"})
+    for (const char* k : {"pcie", "serialization", "faults"})
       if (!r[k].is_object())
         problems.push_back(where + "." + k + " missing");
     if (!r["iteration_profiles"].is_array())
@@ -785,17 +783,13 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     table.add_row({k, TablePrinter::fmt(o * 1e3, 3), TablePrinter::fmt(n * 1e3, 3),
                    TablePrinter::fmt(pct, 2)});
 
-    // Determinism drift check on the other modelled-time fields (analytic
-    // cross-check and per-resource timeline busy totals) — informational,
-    // same epsilon discipline.
+    // Determinism drift check on the per-resource timeline busy totals —
+    // informational, same epsilon discipline.
     const auto drift = [&](const char* label, double a, double b) {
       if (!obs::nearly_equal(a, b))
         std::fprintf(stderr, "note: %s %s drifted: %.9g -> %.9g\n", k.c_str(),
                      label, a, b);
     };
-    drift("sim_seconds_analytic",
-          (*it->second)["sim_seconds_analytic"].as_double(),
-          r["sim_seconds_analytic"].as_double());
     const obs::Json& ot = (*it->second)["timeline"];
     const obs::Json& nt = r["timeline"];
     if (ot.is_object() && nt.is_object())
