@@ -200,8 +200,9 @@ class StadiumEngine final : public Engine {
   Caps caps() const noexcept override {
     // Inserts meter the raw PCIe bus (one remote txn per pair) and the run is
     // priced as one pass afterwards, not through the fault-priced
-    // ExecContext launches, so fault injection and tracing don't apply.
-    return {.standalone = true, .simulated_device = true};
+    // ExecContext launches, so fault injection does not apply. The pass's
+    // timeline commands reach a trace recorder like any other run's.
+    return {.standalone = true, .simulated_device = true, .trace = true};
   }
   RunResult run(const AppInfo& app, std::string_view input,
                 const EngineConfig& cfg) const override {

@@ -81,6 +81,35 @@ std::size_t PinnedRegion::allocated_bytes() const noexcept {
   return total_used_;
 }
 
+// ----------------------------------------------------------- DeviceArena
+
+DeviceArena::DeviceArena(gpusim::ExecContext& ctx)
+    : dev_(ctx.device()), stats_(ctx.stats()) {}
+
+void DeviceArena::place_bucket_array(std::uint32_t num_buckets) {
+  dev_.alloc_static(static_cast<std::size_t>(num_buckets) * 12);
+}
+
+void DeviceArena::claim_rest_of_device() {
+  size_ = dev_.mem_free();
+  base_ = dev_.alloc_static(size_, 64);
+}
+
+void* DeviceArena::alloc(std::uint32_t, std::size_t bytes) {
+  bytes = round8(bytes);
+  stats_.add_alloc_ops();
+  const std::uint64_t off = used_.fetch_add(bytes, std::memory_order_relaxed);
+  if (off + bytes > size_) {
+    stats_.add_alloc_fails();
+    throw MapCgOutOfMemory();
+  }
+  return dev_.ptr(base_ + off);
+}
+
+std::size_t DeviceArena::allocated_bytes() const noexcept {
+  return std::min<std::size_t>(used_.load(std::memory_order_relaxed), size_);
+}
+
 // ------------------------------------------------------ ChainedHashTable
 
 template <typename Memory>
@@ -210,6 +239,21 @@ void ChainedHashTable<Memory>::insert_multivalued(
 }
 
 template <typename Memory>
+void ChainedHashTable<Memory>::fold_values(std::uint32_t b,
+                                           CombineFn combine) {
+  for (HostKeyEntry* e = head<HostKeyEntry>(b); e != nullptr; e = e->next) {
+    HostValueEntry* first = e->vhead;
+    if (first == nullptr) continue;
+    for (const HostValueEntry* v = first->next; v != nullptr; v = v->next) {
+      stats_.add_chain_links();
+      combine(first->value_data(), v->value().data(),
+              std::min(first->val_len, v->val_len));
+      stats_.add_combines();
+    }
+  }
+}
+
+template <typename Memory>
 std::optional<std::span<const std::byte>> ChainedHashTable<Memory>::lookup(
     std::string_view key) const {
   for (const auto* e = head<HostKvEntry>(bucket_of(key)); e != nullptr;
@@ -269,5 +313,6 @@ void ChainedHashTable<Memory>::for_each_group(
 
 template class ChainedHashTable<HostArena>;
 template class ChainedHashTable<PinnedRegion>;
+template class ChainedHashTable<DeviceArena>;
 
 }  // namespace sepo::baselines

@@ -1,5 +1,5 @@
-// The host-memory chained hash table behind the CPU, Phoenix and pinned
-// baselines (paper §VI-B, §VI-D).
+// The chained hash table behind the CPU, Phoenix, pinned and MapCG
+// baselines (paper §VI-B, §VI-C, §VI-D).
 //
 // §VI-B: "The CPU-based versions use a hash table design similar to our
 // GPU-based hash table design except that they do not use the SEPO model of
@@ -8,10 +8,10 @@
 // as a pinned CPU memory region ... Everything else is kept in GPU memory for
 // higher memory performance (e.g. locks)."
 //
-// So both are one table: closed addressing, separate chaining, per-bucket
-// locks and the three bucket organizations, with native-pointer entries.
-// Only where the entries live differs, and that is the `Memory` policy (the
-// storage-as-template-parameter idiom of WarpCore's
+// So all of them are one table: closed addressing, separate chaining,
+// per-bucket locks and the three bucket organizations, with native-pointer
+// entries. Only where the entries live differs, and that is the `Memory`
+// policy (the storage-as-template-parameter idiom of WarpCore's
 // BucketListHashTable<..., BucketListStore<...>>):
 //   * HostArena    — per-thread bump arenas standing in for TCMalloc's
 //                    thread cache (§VI-B: "all CPU implementations that
@@ -21,9 +21,14 @@
 //                    entry access from a kernel is one small metered PCIe
 //                    transaction — the "many small PCIe transactions" whose
 //                    cost §VI-D demonstrates.
+//   * DeviceArena  — MapCG's one global bump arena in device memory (§VI-C):
+//                    a single atomically incremented offset, the
+//                    serialization the bucket-group allocator of §IV-A
+//                    avoids. It has no SEPO, so an allocation past its end
+//                    throws MapCgOutOfMemory and the run fails.
 // All operations record events into a RunStats so the cost model can price
-// the run. Inserts never fail: CPU memory is unbounded in this model, which is
-// the pinned design's selling point and its performance trap.
+// the run. Host-memory inserts never fail: CPU memory is unbounded in this
+// model, which is the pinned design's selling point and its performance trap.
 #pragma once
 
 #include <atomic>
@@ -32,12 +37,14 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
 #include "core/entry_layout.hpp"
 #include "core/sepo.hpp"
 #include "gpusim/counters.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/launch.hpp"
 #include "mapreduce/spec.hpp"
@@ -81,6 +88,9 @@ struct HostValueEntry {
   HostValueEntry* next;
   std::uint32_t val_len, pad_;
 
+  [[nodiscard]] std::byte* value_data() noexcept {
+    return reinterpret_cast<std::byte*>(this + 1);
+  }
   [[nodiscard]] std::span<const std::byte> value() const noexcept {
     return {reinterpret_cast<const std::byte*>(this + 1), val_len};
   }
@@ -159,6 +169,41 @@ class PinnedRegion {
   std::size_t total_used_ = 0;
 };
 
+// Thrown when a DeviceArena is full: MapCG has no SEPO, so a table that
+// outgrows the device fails the whole run.
+class MapCgOutOfMemory : public std::runtime_error {
+ public:
+  MapCgOutOfMemory()
+      : std::runtime_error("MapCG: device hash table out of memory") {}
+  using std::runtime_error::runtime_error;
+};
+
+class DeviceArena {
+ public:
+  using Context = gpusim::ExecContext;
+
+  explicit DeviceArena(gpusim::ExecContext& ctx);
+
+  [[nodiscard]] gpusim::RunStats& stats() const noexcept { return stats_; }
+  // Bucket heads + locks are device-resident.
+  void place_bucket_array(std::uint32_t num_buckets);
+  // Claims all device memory still free as the arena. Call once, after
+  // everything else the run keeps on the device (MapCG's input copy).
+  void claim_rest_of_device();
+  // Bumps the one offset shared by every device thread; throws
+  // MapCgOutOfMemory once the arena is full.
+  void* alloc(std::uint32_t tid, std::size_t bytes);
+  void remote(std::size_t) noexcept {}
+  [[nodiscard]] std::size_t allocated_bytes() const noexcept;
+
+ private:
+  gpusim::Device& dev_;
+  gpusim::RunStats& stats_;
+  gpusim::DevPtr base_ = gpusim::kDevNull;
+  std::size_t size_ = 0;
+  std::atomic<std::uint64_t> used_{0};
+};
+
 struct ChainedTableConfig {
   Organization org = Organization::kCombining;
   std::uint32_t num_buckets = 1u << 15;  // power of two
@@ -173,7 +218,9 @@ class ChainedHashTable {
   ChainedHashTable(const ChainedHashTable&) = delete;
   ChainedHashTable& operator=(const ChainedHashTable&) = delete;
 
-  // Inserts from worker thread `tid` (selects the HostArena arena).
+  // Inserts from worker thread `tid` (selects the HostArena arena). With a
+  // DeviceArena an insert may throw MapCgOutOfMemory; the bucket lock is
+  // released and the chain stays well formed.
   void insert(std::uint32_t tid, std::string_view key,
               std::span<const std::byte> value);
 
@@ -211,6 +258,12 @@ class ChainedHashTable {
   [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
     return gpusim::bucket_load(locks_);
   }
+  [[nodiscard]] Memory& memory() noexcept { return mem_; }
+
+  // Multi-valued tables: folds each key's value list in bucket b into its
+  // newest value with `combine` (a separate reduce pass after population),
+  // metering one chain link and one combine per folded value.
+  void fold_values(std::uint32_t b, CombineFn combine);
 
  private:
   [[nodiscard]] std::uint32_t bucket_of(std::string_view key) const noexcept;
@@ -248,9 +301,10 @@ class ChainedHashTable {
 
 extern template class ChainedHashTable<HostArena>;
 extern template class ChainedHashTable<PinnedRegion>;
+extern template class ChainedHashTable<DeviceArena>;
 
-// Emitter into a ChainedHashTable from worker `tid`. The table holds every
-// pair it is given, so emit never postpones.
+// Emitter into a ChainedHashTable from worker `tid`. Emit never postpones:
+// the table either holds the pair or (DeviceArena) throws.
 template <typename Memory>
 class TableEmitter final : public mapreduce::Emitter {
  public:

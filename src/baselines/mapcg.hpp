@@ -11,29 +11,21 @@
 //   * there is no SEPO: when device memory runs out, the run FAILS
 //     ("the execution fails when there is no more free memory to store newly
 //     inserted KV pairs", §VI-C).
+// The table is the baselines' shared multi-valued ChainedHashTable on a
+// DeviceArena (baselines/chained_hash_table.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <stdexcept>
 #include <string_view>
 #include <vector>
 
-#include "gpusim/counters.hpp"
-#include "gpusim/device.hpp"
+#include "baselines/chained_hash_table.hpp"
 #include "gpusim/exec_context.hpp"
-#include "gpusim/launch.hpp"
-#include "gpusim/thread_pool.hpp"
 #include "mapreduce/spec.hpp"
 
 namespace sepo::baselines {
-
-// Thrown when the non-SEPO hash table exhausts device memory.
-class MapCgOutOfMemory : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 struct MapCgConfig {
   std::uint32_t num_buckets = 1u << 15;  // power of two
@@ -52,7 +44,7 @@ class MapCgRuntime {
   // --- result access (valid after run) ---
 
   // kMapReduce results: fn(key, reduced_value).
-  void for_each_reduced(
+  void for_each(
       const std::function<void(std::string_view, std::span<const std::byte>)>&
           fn) const;
 
@@ -60,76 +52,24 @@ class MapCgRuntime {
   void for_each_group(
       const std::function<void(std::string_view,
                                const std::vector<std::span<const std::byte>>&)>&
-          fn) const;
+          fn) const {
+    table_.for_each_group(fn);
+  }
 
   [[nodiscard]] std::size_t key_count() const noexcept {
-    return key_count_.load(std::memory_order_relaxed);
+    return table_.entry_count();
   }
   [[nodiscard]] std::size_t value_count() const noexcept {
-    return value_count_.load(std::memory_order_relaxed);
+    return table_.value_count();
   }
-
-  // Number of operations on the single global allocation counter — feeds the
-  // cost model's serial-atomic term.
-  [[nodiscard]] std::uint64_t serial_atomic_ops() const noexcept {
-    return serial_atomic_ops_;
-  }
-
   [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
-    return gpusim::bucket_load(locks_);
+    return table_.bucket_load();
   }
 
  private:
-  struct KeyNode {
-    gpusim::DevPtr next;
-    gpusim::DevPtr vhead;
-    std::uint32_t key_len;
-    std::uint32_t reduced_len;  // set by the reduce pass
-    [[nodiscard]] const char* key_data() const noexcept {
-      return reinterpret_cast<const char*>(this + 1);
-    }
-    [[nodiscard]] char* key_data() noexcept {
-      return reinterpret_cast<char*>(this + 1);
-    }
-    [[nodiscard]] std::string_view key() const noexcept {
-      return {key_data(), key_len};
-    }
-  };
-  struct ValueNode {
-    gpusim::DevPtr next;
-    std::uint32_t val_len;
-    std::uint32_t pad_;
-    [[nodiscard]] const std::byte* value_data() const noexcept {
-      return reinterpret_cast<const std::byte*>(this + 1);
-    }
-    [[nodiscard]] std::byte* value_data() noexcept {
-      return reinterpret_cast<std::byte*>(this + 1);
-    }
-  };
-
-  gpusim::DevPtr global_alloc(std::uint32_t bytes);
-  core::Status insert(std::string_view key, std::span<const std::byte> value);
-  void reduce_pass(core::CombineFn combine);
-
   gpusim::ExecContext& ctx_;
-  gpusim::Device& dev_;
-  gpusim::RunStats& stats_;
   MapCgConfig cfg_;
-  std::uint32_t bucket_mask_;
-
-  std::vector<std::atomic<gpusim::DevPtr>> heads_;
-  // Lock + access tally per bucket on private cache lines
-  // (gpusim::PaddedBucketLock); accesses incremented under the bucket lock.
-  std::vector<gpusim::PaddedBucketLock> locks_;
-
-  gpusim::DevPtr arena_base_ = gpusim::kDevNull;
-  std::size_t arena_size_ = 0;
-  std::atomic<std::uint64_t> arena_used_{0};
-  std::atomic<std::uint64_t> serial_atomic_ops_{0};
-
-  std::atomic<std::size_t> key_count_{0};
-  std::atomic<std::size_t> value_count_{0};
-  bool reduced_ = false;
+  ChainedHashTable<DeviceArena> table_;
 };
 
 }  // namespace sepo::baselines

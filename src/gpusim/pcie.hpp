@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "gpusim/trace_hook.hpp"
 #include "gpusim/worker_id.hpp"
 
 namespace sepo::gpusim {
@@ -58,14 +57,12 @@ class PcieBus {
   void h2d(std::uint64_t bytes) noexcept {
     h2d_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     h2d_txns_.fetch_add(1, std::memory_order_relaxed);
-    if (trace_hook_) trace_hook_->on_h2d(bytes);
   }
 
   // Bulk device-to-host copy (heap flushes).
   void d2h(std::uint64_t bytes) noexcept {
     d2h_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     d2h_txns_.fetch_add(1, std::memory_order_relaxed);
-    if (trace_hook_) trace_hook_->on_d2h(bytes);
   }
 
   // Small remote access from a device thread to pinned host memory. Inside
@@ -80,7 +77,6 @@ class PcieBus {
       remote_bytes_.fetch_add(bytes, std::memory_order_relaxed);
       remote_txns_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (trace_hook_) trace_hook_->on_remote(bytes);
   }
 
   // --- sharded remote metering (the RunStats protocol, for remote()) ---
@@ -108,11 +104,6 @@ class PcieBus {
     }
   }
 
-  // Telemetry hook (obs::TraceRecorder). Install from the host before the
-  // run; null keeps the metering paths hook-free apart from one branch.
-  void set_trace_hook(TraceHook* hook) noexcept { trace_hook_ = hook; }
-  [[nodiscard]] TraceHook* trace_hook() const noexcept { return trace_hook_; }
-
   [[nodiscard]] PcieSnapshot snapshot() const noexcept {
     PcieSnapshot s;
     s.h2d_bytes = h2d_bytes_.load(std::memory_order_relaxed);
@@ -138,7 +129,6 @@ class PcieBus {
   };
 
   PcieParams params_;
-  TraceHook* trace_hook_ = nullptr;
   std::atomic<std::uint64_t> h2d_bytes_{0}, h2d_txns_{0};
   std::atomic<std::uint64_t> d2h_bytes_{0}, d2h_txns_{0};
   std::atomic<std::uint64_t> remote_bytes_{0}, remote_txns_{0};

@@ -10,10 +10,7 @@
 // bit-identical with telemetry off.
 //
 // Callback context: on_kernel / on_flush / on_iteration fire from the host
-// between kernels (serial). on_h2d / on_d2h fire from the host staging /
-// flush loops (serial). on_remote fires from *inside kernels* and may be
-// concurrent — implementations must synchronize that path themselves.
-// on_timeline_command fires from the host whenever the Timeline schedules a
+// between kernels (serial). on_timeline_command fires from the host whenever the Timeline schedules a
 // command (serial), carrying the command's exact simulated begin/end.
 #pragma once
 
@@ -71,14 +68,14 @@ class TraceHook {
   // One kernel finished; `delta` is the counter change it produced.
   virtual void on_kernel(const StatsSnapshot& delta, std::size_t n_items) = 0;
 
-  // Bus transfers, as metered by PcieBus.
-  virtual void on_h2d(std::uint64_t bytes) = 0;
-  virtual void on_d2h(std::uint64_t bytes) = 0;
-  virtual void on_remote(std::uint64_t bytes) = 0;
+  // Per-transfer bus callbacks. Nothing calls them: transfers reach hooks
+  // as timeline commands (on_timeline_command). Default no-ops.
+  virtual void on_h2d(std::uint64_t /*bytes*/) {}
+  virtual void on_d2h(std::uint64_t /*bytes*/) {}
+  virtual void on_remote(std::uint64_t /*bytes*/) {}
 
   // A heap flush (SepoHashTable::flush_pages) completed; its page-level d2h
-  // transfers were already reported through on_d2h and scheduled as one
-  // kD2hFlush timeline command.
+  // transfers were already scheduled as one kD2hFlush timeline command.
   virtual void on_flush(std::uint64_t pages, std::uint64_t bytes) = 0;
 
   // SEPO iteration boundaries (SepoDriver).

@@ -72,12 +72,9 @@ void TraceRecorder::on_timeline_command(const gpusim::TimelineCommand& cmd) {
       {track, name, start * kUs, (end - start) * kUs, cmd.arg0, cmd.arg1});
 }
 
-// Resource spans come from timeline commands now; the per-event callbacks
-// stay as no-ops for hooks installed on a bare bus / stats pair.
+// Resource spans come from timeline commands now; the per-kernel callback
+// stays a no-op for hooks installed on bare stats.
 void TraceRecorder::on_kernel(const gpusim::StatsSnapshot&, std::size_t) {}
-void TraceRecorder::on_h2d(std::uint64_t) {}
-void TraceRecorder::on_d2h(std::uint64_t) {}
-void TraceRecorder::on_remote(std::uint64_t) {}
 
 void TraceRecorder::on_flush(std::uint64_t pages, std::uint64_t bytes) {
   std::lock_guard lock(mu_);

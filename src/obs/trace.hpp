@@ -70,14 +70,11 @@ class TraceRecorder final : public gpusim::TraceHook {
   // Resource spans: exact begin/end from the execution timeline.
   void on_timeline_attach() override;
   void on_timeline_command(const gpusim::TimelineCommand& cmd) override;
-  // Legacy per-event callbacks: superseded by timeline commands. Kept as
-  // no-ops so a recorder attached to a bare bus (no ExecContext) is inert
-  // rather than wrong.
+  // Per-kernel deltas: superseded by timeline commands. Kept as a no-op so
+  // a recorder installed on bare stats (no ExecContext) is inert rather
+  // than wrong.
   void on_kernel(const gpusim::StatsSnapshot& delta,
                  std::size_t n_items) override;
-  void on_h2d(std::uint64_t bytes) override;
-  void on_d2h(std::uint64_t bytes) override;
-  void on_remote(std::uint64_t bytes) override;
   // Structural markers, still delivered through the stats hook.
   void on_flush(std::uint64_t pages, std::uint64_t bytes) override;
   void on_iteration_begin(std::uint32_t iteration) override;

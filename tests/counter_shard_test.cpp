@@ -248,9 +248,6 @@ class DeltaRecorder : public TraceHook {
     deltas.push_back(delta);
     items.push_back(n_items);
   }
-  void on_h2d(std::uint64_t) override {}
-  void on_d2h(std::uint64_t) override {}
-  void on_remote(std::uint64_t) override {}
   void on_flush(std::uint64_t, std::uint64_t) override {}
   void on_iteration_begin(std::uint32_t) override {}
   void on_iteration_end(std::uint32_t) override {}

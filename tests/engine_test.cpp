@@ -147,19 +147,22 @@ TEST(EngineCrossValidationTest, CapacitySweepAgreesOrDeclinesTyped) {
   }
 }
 
-// Counter identity of the host-memory baselines: cpu and phoenix (chained
-// table in host arenas), pinned (the same table in the pinned region) and
-// stadium (its entry store in the pinned region). At one pool worker and one
-// party every counter is a pure function of the input. The constants were
-// recorded from the separate CPU and pinned table implementations this table
-// replaced, so a mismatch means the simulated cost of a baseline changed.
-// lock_contended and atomic_retries are left out: no simulated event feeds
-// them, so both always read 0.
+// Counter identity of the baselines: cpu and phoenix (chained table in host
+// arenas), pinned (the same table in the pinned region), mapcg (the same
+// table in a device arena) and stadium (its entry store in the pinned
+// region). At one pool worker and one party every counter is a pure function
+// of the input. The constants were recorded from the separate CPU, pinned
+// and MapCG table implementations this table replaced, so a mismatch means
+// the simulated cost of a baseline changed. lock_contended and
+// atomic_retries are left out: no simulated event feeds them, so both always
+// read 0.
 struct BaselineFixture {
   const char* app;
   const char* engine;
   std::uint64_t checksum, keys, table_bytes, remote_txns, remote_bytes;
-  std::uint64_t lock_ops, max_bucket_ops;  // the serialization inputs
+  // The serialization inputs.
+  std::uint64_t lock_ops, max_bucket_ops, serial_atomic_ops;
+  double sim_seconds;
   std::vector<std::pair<std::string, std::uint64_t>> stats;  // nonzero only
 };
 
@@ -176,30 +179,35 @@ std::vector<std::pair<std::string, std::uint64_t>> nonzero_counters(
 TEST(BaselineCounterIdentityTest, MatchesRecordedCounters) {
   const BaselineFixture fixtures[] = {
     {"pvc", "cpu", 0x580f978b5f0dbe62ull, 815u, 62600u, 0u, 0u,
-     848u, 11u,
+     848u, 11u, 0u,
+     0.00010282481250000001,
      {{"records_processed", 848u}, {"work_units", 97470u}, {"hash_ops", 848u},
       {"key_compare_bytes", 58997u}, {"chain_links_walked", 1395u},
       {"inserts_new", 815u}, {"combines", 33u}, {"alloc_ops", 815u},
       {"lock_acquires", 848u}}},
     {"pvc", "pinned", 0x580f978b5f0dbe62ull, 815u, 0u, 2243u, 152910u,
-     848u, 11u,
+     848u, 11u, 0u,
+     0.00024803251432291664,
      {{"records_processed", 848u}, {"records_scanned", 848u},
       {"work_units", 97470u}, {"hash_ops", 848u},
       {"key_compare_bytes", 58997u}, {"chain_links_walked", 1395u},
       {"inserts_new", 815u}, {"combines", 33u}, {"alloc_ops", 815u},
       {"lock_acquires", 1663u}, {"kernel_launches", 1u}}},
     {"pvc", "stadium", 0x580f978b5f0dbe62ull, 815u, 0u, 848u, 65064u,
-     848u, 11u,
+     848u, 11u, 0u,
+     0.00010401847916666666,
      {{"records_processed", 848u}, {"work_units", 97470u}, {"hash_ops", 848u},
       {"inserts_new", 848u}, {"alloc_ops", 848u}, {"lock_acquires", 1696u}}},
     {"ii", "cpu", 0x5a0bf3983bc4b867ull, 858u, 114728u, 0u, 0u,
-     1041u, 21u,
+     1041u, 21u, 0u,
+     0.00011345860416666667,
      {{"records_processed", 169u}, {"work_units", 98561u}, {"hash_ops", 1041u},
       {"key_compare_bytes", 77601u}, {"chain_links_walked", 1840u},
       {"inserts_new", 858u}, {"value_appends", 1041u}, {"alloc_ops", 1899u},
       {"lock_acquires", 1041u}}},
     {"ii", "pinned", 0x5a0bf3983bc4b867ull, 858u, 0u, 3739u, 255943u,
-     1041u, 21u,
+     1041u, 21u, 0u,
+     0.00046154450390625004,
      {{"records_processed", 169u}, {"records_scanned", 169u},
       {"work_units", 98561u}, {"hash_ops", 1041u},
       {"key_compare_bytes", 77601u}, {"chain_links_walked", 1840u},
@@ -207,22 +215,49 @@ TEST(BaselineCounterIdentityTest, MatchesRecordedCounters) {
       {"lock_acquires", 2940u}, {"divergent_units", 98561u},
       {"kernel_launches", 1u}}},
     {"ii", "stadium", 0x5a0bf3983bc4b867ull, 858u, 0u, 1041u, 103160u,
-     1041u, 21u,
+     1041u, 21u, 0u,
+     0.00015557556640625,
      {{"records_processed", 169u}, {"work_units", 98561u}, {"hash_ops", 1041u},
       {"inserts_new", 1041u}, {"alloc_ops", 1041u}, {"lock_acquires", 2082u}}},
     {"wc", "phoenix", 0x9f10463a4dc69914ull, 2286u, 80584u, 0u, 0u,
-     0u, 0u,
+     0u, 0u, 0u,
+     0.00034789539583333332,
      {{"records_processed", 1097u}, {"work_units", 97300u},
       {"hash_ops", 13806u}, {"key_compare_bytes", 147513u},
       {"chain_links_walked", 22549u}, {"inserts_new", 4572u},
       {"combines", 9234u}, {"alloc_ops", 4572u}, {"lock_acquires", 13806u}}},
     {"pc", "phoenix", 0x6763428c6d4ad0e9ull, 6668u, 387544u, 0u, 0u,
-     0u, 0u,
+     0u, 0u, 0u,
+     0.0010757275416666667,
      {{"records_processed", 7257u}, {"work_units", 91058u},
       {"hash_ops", 14514u}, {"key_compare_bytes", 497114u},
       {"chain_links_walked", 93598u}, {"inserts_new", 13336u},
       {"value_appends", 14514u}, {"alloc_ops", 27850u},
       {"lock_acquires", 14514u}}},
+    {"wc", "mapcg", 0x9f10463a4dc69914ull, 2286u, 0u, 0u, 0u,
+     11520u, 1540u, 13806u,
+     0.00060764346223958325,
+     {{"records_processed", 1097u}, {"work_units", 97300u},
+      {"hash_ops", 11520u}, {"key_compare_bytes", 370328u},
+      {"chain_links_walked", 68594u}, {"inserts_new", 2286u},
+      {"combines", 9234u}, {"value_appends", 11520u}, {"alloc_ops", 13806u},
+      {"lock_acquires", 11520u}, {"kernel_launches", 2u}}},
+    {"pc", "mapcg", 0x6763428c6d4ad0e9ull, 6668u, 0u, 0u, 0u,
+     7257u, 46u, 13925u,
+     0.0004314222571614583,
+     {{"records_processed", 7257u}, {"work_units", 91058u},
+      {"hash_ops", 7257u}, {"key_compare_bytes", 488334u},
+      {"chain_links_walked", 92518u}, {"inserts_new", 6668u},
+      {"value_appends", 7257u}, {"alloc_ops", 13925u},
+      {"lock_acquires", 7257u}, {"kernel_launches", 1u}}},
+    {"geo", "mapcg", 0x03d1837cf7267da8ull, 2177u, 0u, 0u, 0u,
+     2321u, 17u, 4498u,
+     0.00016495979492187499,
+     {{"records_processed", 2321u}, {"work_units", 96001u},
+      {"hash_ops", 2321u}, {"key_compare_bytes", 263536u},
+      {"chain_links_walked", 9710u}, {"inserts_new", 2177u},
+      {"value_appends", 2321u}, {"alloc_ops", 4498u},
+      {"lock_acquires", 2321u}, {"kernel_launches", 1u}}},
   };
   for (const BaselineFixture& f : fixtures) {
     SCOPED_TRACE(std::string(f.app) + "/" + f.engine);
@@ -243,6 +278,8 @@ TEST(BaselineCounterIdentityTest, MatchesRecordedCounters) {
     EXPECT_EQ(r.pcie.remote_bytes, f.remote_bytes);
     EXPECT_EQ(r.serial.total_lock_ops, f.lock_ops);
     EXPECT_EQ(r.serial.max_same_lock_ops, f.max_bucket_ops);
+    EXPECT_EQ(r.serial.serial_atomic_ops, f.serial_atomic_ops);
+    EXPECT_EQ(r.sim_seconds, f.sim_seconds);
     EXPECT_EQ(nonzero_counters(r.stats), f.stats);
   }
 }

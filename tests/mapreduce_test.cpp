@@ -324,13 +324,12 @@ TEST(MapCgTest, WordCountReducesCorrectly) {
   const auto ref = word_reference(input);
   EXPECT_EQ(mapcg.key_count(), ref.size());
   std::size_t checked = 0;
-  mapcg.for_each_reduced([&](std::string_view k,
-                             std::span<const std::byte> v) {
+  mapcg.for_each([&](std::string_view k, std::span<const std::byte> v) {
     EXPECT_EQ(as_u64(v), ref.at(std::string(k))) << k;
     ++checked;
   });
   EXPECT_EQ(checked, ref.size());
-  EXPECT_GT(mapcg.serial_atomic_ops(), 0u);
+  EXPECT_GT(rig.stats.snapshot().alloc_ops, 0u);
 }
 
 TEST(MapCgTest, FailsWhenDeviceMemoryExhausted) {
@@ -341,6 +340,33 @@ TEST(MapCgTest, FailsWhenDeviceMemoryExhausted) {
   EXPECT_THROW(mapcg.run(input, {.mode = Mode::kMapReduce, .map = map_words,
                                  .combine = core::combine_sum_u64}),
                baselines::MapCgOutOfMemory);
+}
+
+// The input fits but the table does not: the arena runs dry mid-map. At one
+// worker the failing allocation is a pure function of the input, so every
+// allocation attempt up to it is pinned (recorded from the hand-written
+// MapCG table the shared chained table replaced). At four workers the
+// failure unwinds out of the table's insert on pool threads that hold a
+// bucket lock; the run must still surface it as MapCgOutOfMemory.
+TEST(MapCgTest, ArenaExhaustionFailsTheRun) {
+  const std::string input = word_input(4000, 4000, 7);
+  const MrSpec spec{.mode = Mode::kMapReduce, .map = map_words,
+                    .combine = core::combine_sum_u64};
+  {
+    Rig rig(256u << 10, /*workers=*/1);
+    baselines::MapCgRuntime mapcg(rig.ctx, {.num_buckets = 256});
+    EXPECT_THROW(mapcg.run(input, spec), baselines::MapCgOutOfMemory);
+    const gpusim::StatsSnapshot s = rig.stats.snapshot();
+    EXPECT_EQ(s.alloc_ops, 4009u);
+    EXPECT_EQ(s.alloc_fails, 1u);
+    EXPECT_EQ(s.records_processed, 344u);
+    EXPECT_EQ(s.inserts_new, 1734u);
+    EXPECT_EQ(s.value_appends, 2274u);
+  }
+  Rig rig(256u << 10, /*workers=*/4);
+  baselines::MapCgRuntime mapcg(rig.ctx, {.num_buckets = 256});
+  EXPECT_THROW(mapcg.run(input, spec), baselines::MapCgOutOfMemory);
+  EXPECT_GE(rig.stats.snapshot().alloc_fails, 1u);
 }
 
 TEST(MapCgTest, GroupModeKeepsValueLists) {
